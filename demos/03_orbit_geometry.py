@@ -12,9 +12,8 @@ limit.
 
 import numpy as np
 
-from gaugereduce import (AdaptedCoords, FieldPair, Lattice, killing_vector,
-                         mechanical_connection, orbit_metric,
-                         reduction_jacobian, sigma_derivatives)
+from gaugereduce import (AdaptedCoords, FieldPair, Lattice, OrbitGeometry,
+                         killing_vector, orbit_metric, reduction_jacobian)
 
 rng = np.random.default_rng(2)
 
@@ -22,22 +21,22 @@ print("=== orbit metric and orbit volume ===")
 lat = Lattice(2, 3)
 f = lat.random_doublet(rng)
 g0 = 0.8
-om = orbit_metric(lat, f, g0)
+geo = OrbitGeometry(lat, f, g0)
+om = geo.metric
 print(f"D is {om.D.shape[0]}x{om.D.shape[0]}, log det D = {om.logdet:+.6f} "
       f"(truncation dimension V = {om.n_sites})")
 
 print("\n=== closed-form sigma derivatives vs finite differences ===")
-sig = sigma_derivatives(lat, f, g0, om)
 d = 1e-5
 a, x = 0, 4
 fp_ = f.copy(); fp_[a, x] += d
 fm_ = f.copy(); fm_[a, x] -= d
 fd = (orbit_metric(lat, fp_, g0).logdet - orbit_metric(lat, fm_, g0).logdet) / (2 * d)
-print(f"sigma_a at one slot: closed form {sig.grad_f[a, x]:+.10f}, "
+print(f"sigma_a at one slot: closed form {geo.grad_f[a, x]:+.10f}, "
       f"finite difference {fd:+.10f}")
 
 print("\n=== mechanical connection reproduces the gauge parameter ===")
-conn = mechanical_connection(lat, f, g0, om)
+conn = geo.connection()
 eps = lat.random_scalar(rng)
 kA, kf = killing_vector(lat, FieldPair(np.zeros((lat.dim, lat.n_sites)), f, g0), eps)
 print(f"|A(K(eps)) - eps|_max = {np.abs(conn.contract(kA, kf) - eps).max():.2e}")

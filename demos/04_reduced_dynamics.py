@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-from gaugereduce import (AdaptedCoords, Lattice, SDEConfig, christoffel_drift,
-                         flat, girsanov_check, mean_curvature_terms, path_rng,
-                         reduced_drift, sample_reduced_path)
+from gaugereduce import (AdaptedCoords, Lattice, OrbitGeometry, SDEConfig,
+                         flat, girsanov_check, path_rng, sample_reduced_path)
 
 rng = np.random.default_rng(3)
 
@@ -23,10 +22,10 @@ print("=== drift anatomy at a random surface point (s=2, N=4) ===")
 lat = Lattice(2, 4)
 g0 = 0.8
 f = lat.random_doublet(rng)
-c = AdaptedCoords(np.zeros((2, 16)), f, np.zeros(16))
-dA, df = christoffel_drift(lat, c, g0)
-j1A, j1f, j2A, j2f = mean_curvature_terms(lat, c, g0)
-tA, tf = reduced_drift(lat, c, g0)
+geo = OrbitGeometry(lat, f, g0)
+dA, df = geo.christoffel_drift()
+j1A, j1f, j2A, j2f = geo.mean_curvature_terms()
+tA, tf = geo.drift()
 print(f"|christoffel drift|  A-sector {np.abs(dA).max():.3e}   f-sector {np.abs(df).max():.3e}")
 print(f"|orbit-space term|   A-sector {np.abs(j1A).max():.3e}   f-sector {np.abs(j1f).max():.3e}")
 print(f"|orbit curvature|    A-sector {np.abs(j2A).max():.3e}   f-sector {np.abs(j2f).max():.3e}")
@@ -54,8 +53,7 @@ def drift(x):
 
 # the closed form above is the module's orbit-curvature drift
 ftest = rng.standard_normal((2, 2)) + 1.5
-ctest = AdaptedCoords(np.zeros((1, 2)), ftest, np.zeros(2))
-_, _, _, j2 = mean_curvature_terms(lat2, ctest, g0)
+_, _, _, j2 = OrbitGeometry(lat2, ftest, g0).mean_curvature_terms()
 print(f"vectorized drift vs geometry module: {np.abs(drift(flat(ftest)[None])[0] - pref * flat(j2)).max():.2e}")
 
 cfg2 = SDEConfig(mu, kappa, 1e-3, 250, 40_000, 99)

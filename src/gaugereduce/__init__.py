@@ -17,12 +17,9 @@ from .gauge import (JBAR, AdaptedCoords, FaddeevPopov, FieldPair,
                     projector_N, rotate, solve_gauge_parameter, to_adapted,
                     transverse_projector)
 from .orbit import (HorizontalMetric, JacobianReport, MechanicalConnection,
-                    OrbitMetric, SigmaDerivatives, SingularOrbitMetric,
-                    christoffel_drift, effective_potential, horizontal_metric,
-                    horizontal_project, mean_curvature_terms,
-                    mechanical_connection, orbit_metric, reduced_drift,
-                    reduction_jacobian, reduction_jacobian_full_form,
-                    sigma_derivatives)
+                    OrbitGeometry, OrbitMetric, SingularOrbitMetric,
+                    effective_potential, horizontal_metric, horizontal_project,
+                    orbit_metric, reduced_drift, reduction_jacobian)
 from .sde import (EXPONENT_GUARD, SINGULARITY_FLOOR, FKEstimate, SDEConfig,
                   SDEPath, euler_step_original, euler_step_reduced,
                   feynman_kac, girsanov_check, path_rng,

@@ -68,12 +68,14 @@ class FaddeevPopov:
 
     ``matrix`` is the composition div o grad; ``green`` its Moore-Penrose
     pseudo-inverse (symmetric, annihilates the kernel, in particular
-    green @ ones = 0).  ``kernel`` is an orthonormal basis of ker(matrix).
+    green @ ones = 0).  ``kernel`` and ``range_basis`` are orthonormal bases
+    of ker(matrix) and of its complement range(matrix).
     """
 
     matrix: np.ndarray
     green: np.ndarray
     kernel: np.ndarray
+    range_basis: np.ndarray
 
     def range_projector(self):
         """Projector onto range(matrix) = (kernel)^perp; the pseudo-identity
@@ -90,8 +92,7 @@ def faddeev_popov(lat):
         keep = np.abs(w) > tol
         green = (U[:, keep] / w[keep]) @ U[:, keep].T
         green = 0.5 * (green + green.T)
-        kernel = U[:, ~keep]
-        lat._cache[key] = FaddeevPopov(lat.fp_matrix(), green, kernel)
+        lat._cache[key] = FaddeevPopov(lat.fp_matrix(), green, U[:, ~keep], U[:, keep])
     return lat._cache[key]
 
 

@@ -21,15 +21,17 @@ construction.  The orbit volume enters through
 closed forms that follow from d(log det D) = tr(Dinv dD) and
 d(Dinv) = -Dinv (dD) Dinv.  The drift pieces of the reduced dynamics are
 finite contractions of the connection, its f~-derivatives and the scalar
-Killing block (see :func:`christoffel_drift` and :func:`mean_curvature_terms`),
-and combine into the reduction Jacobian
+Killing block (see :meth:`OrbitGeometry.christoffel_drift` and
+:meth:`OrbitGeometry.mean_curvature_terms`), and combine into the reduction
+Jacobian
 
     J = -(1/8) mu^2 kappa * (laplace_term + grad_term / 4)
 
 with laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a and
 grad_term = h^ab sigma_a sigma_b.  The potential-sector contributions
 (capital indices) vanish identically because D does not depend on the
-potential; both the full and the collapsed forms are computed and must agree.
+potential, so only the collapsed scalar-sector form is computed.
+:class:`OrbitGeometry` holds all of these pieces for one state.
 
 log det D is the bare truncated value; no continuum regularization is
 applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
@@ -37,6 +39,7 @@ done externally.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -75,57 +78,46 @@ class MechanicalConnection:
 
 
 @dataclass
-class SigmaDerivatives:
-    """Orbit-volume function sigma = log det D and its scalar-sector derivatives."""
-
-    sigma: float
-    grad_f: np.ndarray    # (2, V)
-    hess_ff: np.ndarray   # (2V, 2V)
-
-
-@dataclass
 class HorizontalMetric:
     """Adapted-coordinate metric blocks and their pseudo-inverse blocks.
 
-    Gauge-sector indices are carried both full-size (g_* blocks, with the
-    derivative kernel still present) and in the orthonormal reduced basis
-    ``basis`` of range(Phi), in which the pseudo-inversion identity is an
-    exact block identity (see :meth:`pseudoinverse_residual`).
+    Blocks that are structurally constant for the Coulomb condition are not
+    stored: g_ff = I, and the mixed blocks g_Ag = P_perp @ grad and
+    h_Ab = P_perp @ N_f^T vanish.  Gauge-sector indices are carried both
+    full-size (g_* blocks, with the derivative kernel still present) and in
+    the orthonormal reduced basis ``basis`` of range(Phi), in which the
+    pseudo-inversion identity is an exact block identity (see
+    :meth:`pseudoinverse_residual`).
     """
 
     g_AA: np.ndarray      # (sV, sV)  = P_perp
-    g_ff: np.ndarray      # (2V, 2V)  = I
-    g_Ag: np.ndarray      # (sV, V)   = P_perp @ grad  (zero for Coulomb)
     g_fg: np.ndarray      # (2V, V)   = K_f
     g_gg: np.ndarray      # (V, V)    = D
     h_AB: np.ndarray      # (sV, sV)  = P_perp
-    h_Ab: np.ndarray      # (sV, 2V)  (identically zero for Coulomb)
     h_ab: np.ndarray      # (2V, 2V)  = I + N_f N_f^T
     h_Ag: np.ndarray      # (sV, V)
     h_ag: np.ndarray      # (2V, V)
     h_gg: np.ndarray      # (V, V)    = -green
     basis: np.ndarray     # (V, r) orthonormal basis of range(Phi)
 
-    def _reduced(self, sV, n2V):
+    def pseudoinverse_residual(self):
+        """Max-abs residual of (pseudo-inverse) @ (metric) against
+        blockdiag(P_perp, I, I), gauge sector in the reduced basis."""
         B = self.basis
-        r = B.shape[1]
+        sV, n2V, r = self.g_AA.shape[0], self.h_ab.shape[0], B.shape[1]
         n = sV + n2V + r
         iA = slice(0, sV)
         iF = slice(sV, sV + n2V)
         iG = slice(sV + n2V, n)
         Gt = np.zeros((n, n))
         Gt[iA, iA] = self.g_AA
-        Gt[iF, iF] = self.g_ff
-        Gt[iA, iG] = self.g_Ag @ B
-        Gt[iG, iA] = Gt[iA, iG].T
+        Gt[iF, iF] = np.eye(n2V)
         Gt[iF, iG] = self.g_fg @ B
         Gt[iG, iF] = Gt[iF, iG].T
         Gt[iG, iG] = B.T @ self.g_gg @ B
         Gi = np.zeros((n, n))
         Gi[iA, iA] = self.h_AB
         Gi[iF, iF] = self.h_ab
-        Gi[iA, iF] = self.h_Ab
-        Gi[iF, iA] = self.h_Ab.T
         Gi[iA, iG] = self.h_Ag @ B
         Gi[iG, iA] = Gi[iA, iG].T
         Gi[iF, iG] = self.h_ag @ B
@@ -135,14 +127,6 @@ class HorizontalMetric:
         target[iA, iA] = self.h_AB
         target[iF, iF] = np.eye(n2V)
         target[iG, iG] = np.eye(r)
-        return Gi, Gt, target
-
-    def pseudoinverse_residual(self):
-        """Max-abs residual of (pseudo-inverse) @ (metric) against
-        blockdiag(P_perp, I, I), gauge sector in the reduced basis."""
-        sV = self.g_AA.shape[0]
-        n2V = self.g_ff.shape[0]
-        Gi, Gt, target = self._reduced(sV, n2V)
         return float(np.abs(Gi @ Gt - target).max())
 
 
@@ -176,36 +160,6 @@ def orbit_metric(lat, f_tilde, g0):
     return OrbitMetric(D, np.tril(cho[0]), Dinv, logdet, lat.n_sites)
 
 
-def sigma_derivatives(lat, f_tilde, g0, om=None):
-    """Closed-form first and second scalar derivatives of log det D."""
-    f_tilde = lat.check_doublet(f_tilde)
-    if om is None:
-        om = orbit_metric(lat, f_tilde, g0)
-    V = lat.n_sites
-    dinv_diag = np.diag(om.Dinv)
-    grad_f = 2.0 * g0 ** 2 * f_tilde * dinv_diag
-    hess = -4.0 * g0 ** 4 * np.einsum("p,q,pq->pq",
-                                      flat(f_tilde), flat(f_tilde),
-                                      np.tile(om.Dinv ** 2, (2, 2)), optimize=True)
-    # careful: the Dinv(x,y)^2 factor pairs site indices of p=(a,x), q=(b,y)
-    hess = hess.reshape(2, V, 2, V)
-    diag_term = 2.0 * g0 ** 2 * dinv_diag
-    for a in range(2):
-        hess[a, np.arange(V), a, np.arange(V)] += diag_term
-    hess = hess.reshape(2 * V, 2 * V)
-    return SigmaDerivatives(om.logdet, grad_f, 0.5 * (hess + hess.T))
-
-
-def mechanical_connection(lat, f_tilde, g0, om=None):
-    """Connection blocks from the orbit Green function."""
-    f_tilde = lat.check_doublet(f_tilde)
-    if om is None:
-        om = orbit_metric(lat, f_tilde, g0)
-    G = lat.gradient_matrix()
-    Kf = killing_doublet_matrix(lat, f_tilde, g0)
-    return MechanicalConnection(om.Dinv @ G.T, om.Dinv @ Kf.T)
-
-
 def horizontal_project(lat, conn, f_tilde, g0, vA, vf):
     """Orthogonal projection of a tangent pair onto the horizontal subspace,
     v - K(A(v)); the connection annihilates the result."""
@@ -226,54 +180,141 @@ def horizontal_metric(lat, c, g0):
     P = transverse_projector(lat)
     G = lat.gradient_matrix()
     Kf = killing_doublet_matrix(lat, f_tilde, g0)
-    N_A, N_f = projector_N(lat, f_tilde, g0)
+    _, N_f = projector_N(lat, f_tilde, g0)
     D = G.T @ G + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
-    sV = lat.dim * lat.n_sites
-    n2V = 2 * lat.n_sites
     Lam = fp.green @ lat.divergence_matrix()          # (V, sV)
-    w, U = lat.fp_eig()
-    keep = np.abs(w) > 1e-10 * max(np.abs(w).max(), 1.0)
     return HorizontalMetric(
         g_AA=P,
-        g_ff=np.eye(n2V),
-        g_Ag=P @ G,
         g_fg=Kf,
         g_gg=0.5 * (D + D.T),
         h_AB=P,
-        h_Ab=P @ N_f.T,
-        h_ab=np.eye(n2V) + N_f @ N_f.T,
+        h_ab=np.eye(2 * lat.n_sites) + N_f @ N_f.T,
         h_Ag=P @ Lam.T,
         h_ag=Kf @ fp.green,
         h_gg=-fp.green,
-        basis=U[:, keep],
+        basis=fp.range_basis,
     )
 
 
-# ----------------------------------------------------------------------
-# drift contractions
-# ----------------------------------------------------------------------
+class OrbitGeometry:
+    """Orbit geometry of one scalar configuration f~.
 
-def _geometry(lat, f_tilde, g0, om=None):
-    """Shared intermediates for the drift and Jacobian contractions."""
-    f_tilde = lat.check_doublet(f_tilde)
-    if om is None:
-        om = orbit_metric(lat, f_tilde, g0)
-    V = lat.n_sites
-    s = lat.dim
-    Gm = lat._difference_matrices()
-    jf = np.stack([f_tilde[1], -f_tilde[0]])
-    # connection blocks, component-resolved
-    A_s = np.concatenate([om.Dinv * (g0 * jf[a]) for a in range(2)], axis=1)   # (V, 2V)
-    A_g = np.concatenate([om.Dinv @ Gm[m].T for m in range(s)], axis=1)        # (V, sV)
-    _, N_f = projector_N(lat, f_tilde, g0)
-    h_ff = np.eye(2 * V) + N_f @ N_f.T
-    P = transverse_projector(lat)
-    return om, f_tilde, jf, A_s, A_g, N_f, h_ff, P
+    Construction factorizes the orbit metric (``metric``), so a degenerate
+    orbit raises :class:`SingularOrbitMetric` here.  The derived pieces --
+    N_f, h_ff, the connection blocks, sigma' (``grad_f``), the Gamma
+    contraction and, only when read, sigma'' (``hess_ff``) -- are each built
+    at most once per instance; the drifts, the Jacobian and the connection
+    are reads of them.
+    """
+
+    def __init__(self, lat, f_tilde, g0):
+        self.lat = lat
+        self.f_tilde = lat.check_doublet(f_tilde)
+        self.g0 = g0
+        self.metric = orbit_metric(lat, self.f_tilde, g0)
+        self.jf = np.stack([self.f_tilde[1], -self.f_tilde[0]])    # Jbar f~
+
+    @cached_property
+    def N_f(self):
+        """Scalar-sector projection block (2V, sV), see :func:`projector_N`."""
+        return projector_N(self.lat, self.f_tilde, self.g0)[1]
+
+    @cached_property
+    def h_ff(self):
+        """Scalar-scalar block I + N_f N_f^T of the horizontal metric."""
+        return np.eye(2 * self.lat.n_sites) + self.N_f @ self.N_f.T
+
+    @cached_property
+    def A_gauge(self):
+        """Gauge block of the connection, (V, sV)."""
+        return self.metric.Dinv @ self.lat.gradient_matrix().T
+
+    @cached_property
+    def A_scalar(self):
+        """Scalar block of the connection, (V, 2V)."""
+        return np.concatenate([self.metric.Dinv * (self.g0 * self.jf[a])
+                               for a in range(2)], axis=1)
+
+    @cached_property
+    def grad_f(self):
+        """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (2, V)."""
+        return 2.0 * self.g0 ** 2 * self.f_tilde * np.diag(self.metric.Dinv)
+
+    @cached_property
+    def hess_ff(self):
+        """sigma_ab(x, y), shape (2V, 2V)."""
+        V, g0, Dinv = self.lat.n_sites, self.g0, self.metric.Dinv
+        f = flat(self.f_tilde)
+        hess = -4.0 * g0 ** 4 * np.einsum("p,q,pq->pq", f, f,
+                                          np.tile(Dinv ** 2, (2, 2)), optimize=True)
+        # careful: the Dinv(x,y)^2 factor pairs site indices of p=(a,x), q=(b,y)
+        hess = hess.reshape(2, V, 2, V)
+        diag_term = 2.0 * g0 ** 2 * np.diag(Dinv)
+        for a in range(2):
+            hess[a, np.arange(V), a, np.arange(V)] += diag_term
+        hess = hess.reshape(2 * V, 2 * V)
+        return 0.5 * (hess + hess.T)
+
+    @cached_property
+    def gamma(self):
+        """(g_A, g_f) from :func:`_gamma_contractions`."""
+        return _gamma_contractions(self)
+
+    def connection(self):
+        """Mechanical connection blocks from the orbit Green function."""
+        return MechanicalConnection(self.A_gauge, self.A_scalar)
+
+    def christoffel_drift(self):
+        """Drift contribution -1/2 h^{BM} Gamma^{.}_{BM} of the reduced dynamics.
+
+        Returns (drift_A, drift_f) as (s, V) and (2, V) fields.  Both vanish
+        for f~ -> 0 at fixed orbit Green function; the potential-sector part
+        is a pure gradient and is cancelled by the orbit-space mean curvature.
+        """
+        g_A, g_f = self.gamma
+        return -0.5 * g_A, -0.5 * g_f
+
+    def mean_curvature_terms(self):
+        """Mean-curvature drifts: orbit space (j1) and orbit (j2).
+
+        j1 subtracts the vertical part of the Christoffel contraction (the
+        potential blocks of N do not depend on the fields, so their
+        derivative terms drop); j2 = 1/4 h . sigma' with the potential-sector
+        slot of sigma' identically zero.
+        """
+        lat = self.lat
+        P = transverse_projector(lat)
+        gA = flat(self.gamma[0])
+        sf = flat(self.grad_f)
+        j1_A = unflat(0.5 * (gA - P @ gA), lat.dim, lat.n_sites)
+        j1_f = unflat(-0.5 * (self.N_f @ gA), 2, lat.n_sites)
+        j2_A = unflat(0.25 * (P @ (self.N_f.T @ sf)), lat.dim, lat.n_sites)
+        j2_f = unflat(0.25 * (self.h_ff @ sf), 2, lat.n_sites)
+        return j1_A, j1_f, j2_A, j2_f
+
+    def drift(self):
+        """Total geometric drift (-1/2 h Gamma + j1 + j2) of the reduced
+        dynamics, before the mu^2 kappa prefactor.  Returns ((s,V), (2,V))."""
+        dA, df = self.christoffel_drift()
+        j1_A, j1_f, j2_A, j2_f = self.mean_curvature_terms()
+        return dA + j1_A + j2_A, df + j1_f + j2_f
+
+    def jacobian(self, mu, kappa, m=1.0):
+        """Exponential part of the reduction Jacobian and the potential
+        correction, scalar sector only (the potential-sector slots of sigma'
+        and sigma'' are identically zero)."""
+        sf = flat(self.grad_f)
+        laplace_term = float(np.sum(self.h_ff * self.hess_ff) - flat(self.gamma[1]) @ sf)
+        grad_term = float(sf @ self.h_ff @ sf)
+        J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
+        return JacobianReport(laplace_term, grad_term, J, J / m,
+                              self.metric.logdet, self.lat.n_sites)
 
 
-def _gamma_contractions(lat, f_tilde, g0, om=None):
+def _gamma_contractions(geo):
     """h^{BM} Gamma^{.}_{BM} contractions of the horizontal-metric Christoffel
-    table; returns (g_A, g_f) as fields ((s,V) and (2,V)).
+    table for an :class:`OrbitGeometry`; returns (g_A, g_f) as fields
+    ((s,V) and (2,V)).
 
     Only the potential-potential and scalar-scalar blocks of h contribute
     (the mixed block vanishes identically for the Coulomb condition).  The
@@ -282,10 +323,10 @@ def _gamma_contractions(lat, f_tilde, g0, om=None):
     both connection blocks; the potential-sector result is the pure gradient
     -grad(S) with S the h-traced connection derivative.
     """
-    om, f_tilde, jf, A_s, A_g, N_f, h_ff, P = _geometry(lat, f_tilde, g0, om)
+    lat, f_tilde, jf, g0 = geo.lat, geo.f_tilde, geo.jf, geo.g0
     V = lat.n_sites
-    Dinv = om.Dinv
-    h4 = h_ff.reshape(2, V, 2, V)
+    Dinv = geo.metric.Dinv
+    h4 = geo.h_ff.reshape(2, V, 2, V)
 
     # S(x) = sum_{pq} h^{pq} dA_scalar^x_p / df~^q
     T1 = np.einsum("aycz,zy,ay->cz", h4, Dinv, jf, optimize=True)
@@ -293,9 +334,10 @@ def _gamma_contractions(lat, f_tilde, g0, om=None):
     S = -2.0 * g0 ** 3 * (Dinv @ np.sum(f_tilde * T1, axis=0)) + g0 * (Dinv @ tbar)
 
     # curvature diagonals W(y,y) of the connection blocks
-    diag_WA = np.einsum("xp,pq,xq->x", A_g, P, A_g, optimize=True)
-    AsH = A_s @ h_ff
-    diag_WF = np.einsum("xp,xp->x", AsH, A_s)
+    A_g = geo.A_gauge
+    diag_WA = np.einsum("xp,pq,xq->x", A_g, transverse_projector(lat), A_g, optimize=True)
+    AsH = geo.A_scalar @ geo.h_ff
+    diag_WF = np.einsum("xp,xp->x", AsH, geo.A_scalar)
     AsH3 = AsH.reshape(V, 2, V)
     TT = np.stack([np.diag(AsH3[:, c, :]) for c in range(2)], axis=1)   # (V, 2)
     t2 = np.stack([-2.0 * g0 * TT[:, 1], 2.0 * g0 * TT[:, 0]])          # (2, V)
@@ -303,100 +345,18 @@ def _gamma_contractions(lat, f_tilde, g0, om=None):
     curv = -g0 ** 2 * f_tilde * (diag_WA + diag_WF)
     g_f = curv + t2 - g0 * jf * S
     g_A = -lat.gradient(S)
-    return g_A, g_f, S
+    return g_A, g_f
 
 
-def christoffel_drift(lat, c, g0, om=None):
-    """Drift contribution -1/2 h^{BM} Gamma^{.}_{BM} of the reduced dynamics.
-
-    Returns (drift_A, drift_f) as (s, V) and (2, V) fields.  Both vanish for
-    f~ -> 0 at fixed orbit Green function; the potential-sector part is a
-    pure gradient and is cancelled by the orbit-space mean curvature.
-    """
-    g_A, g_f, _ = _gamma_contractions(lat, c.f_tilde, g0, om)
-    return -0.5 * g_A, -0.5 * g_f
-
-
-def mean_curvature_terms(lat, c, g0, om=None):
-    """Mean-curvature drifts: orbit space (j1) and orbit (j2).
-
-    j1 subtracts the vertical part of the Christoffel contraction (the
-    potential blocks of N do not depend on the fields, so their derivative
-    terms drop); j2 = 1/4 h . sigma' with the potential-sector slot of
-    sigma' identically zero.  Raises SingularOrbitMetric at f~ = 0.
-    """
-    f_tilde = lat.check_doublet(c.f_tilde)
-    if om is None:
-        om = orbit_metric(lat, f_tilde, g0)
-    g_A, g_f, _ = _gamma_contractions(lat, f_tilde, g0, om)
-    P = transverse_projector(lat)
-    _, N_f = projector_N(lat, f_tilde, g0)
-    gA_flat = flat(g_A)
-    j1_A = unflat(0.5 * (gA_flat - P @ gA_flat), lat.dim, lat.n_sites)
-    j1_f = unflat(-0.5 * (N_f @ gA_flat), 2, lat.n_sites)
-    sig = sigma_derivatives(lat, f_tilde, g0, om)
-    h_ff = np.eye(2 * lat.n_sites) + N_f @ N_f.T
-    h_Ab = P @ N_f.T
-    j2_A = unflat(0.25 * (h_Ab @ flat(sig.grad_f)), lat.dim, lat.n_sites)
-    j2_f = unflat(0.25 * (h_ff @ flat(sig.grad_f)), 2, lat.n_sites)
-    return j1_A, j1_f, j2_A, j2_f
-
-
-def reduced_drift(lat, c, g0, om=None):
-    """Total geometric drift (-1/2 h Gamma + j1 + j2) of the reduced dynamics,
-    before the mu^2 kappa prefactor.  Returns ((s,V), (2,V))."""
-    f_tilde = lat.check_doublet(c.f_tilde)
-    if om is None:
-        om = orbit_metric(lat, f_tilde, g0)
-    dA, df = christoffel_drift(lat, c, g0, om)
-    j1_A, j1_f, j2_A, j2_f = mean_curvature_terms(lat, c, g0, om)
-    return dA + j1_A + j2_A, df + j1_f + j2_f
+def reduced_drift(lat, c, g0):
+    """Total geometric drift of the reduced dynamics at c, see
+    :meth:`OrbitGeometry.drift`."""
+    return OrbitGeometry(lat, c.f_tilde, g0).drift()
 
 
 def reduction_jacobian(lat, c, g0, mu, kappa, m=1.0):
-    """Exponential part of the reduction Jacobian and the potential correction.
-
-    laplace_term and grad_term are computed in the collapsed form (scalar
-    sector only); the full form including the identically-zero potential
-    slots is evaluated alongside and must agree, see tests.
-    """
-    f_tilde = lat.check_doublet(c.f_tilde)
-    om = orbit_metric(lat, f_tilde, g0)
-    sig = sigma_derivatives(lat, f_tilde, g0, om)
-    _, g_f, _ = _gamma_contractions(lat, f_tilde, g0, om)
-    _, N_f = projector_N(lat, f_tilde, g0)
-    h_ff = np.eye(2 * lat.n_sites) + N_f @ N_f.T
-    sf = flat(sig.grad_f)
-    laplace_term = float(np.sum(h_ff * sig.hess_ff) - flat(g_f) @ sf)
-    grad_term = float(sf @ h_ff @ sf)
-    J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
-    return JacobianReport(laplace_term, grad_term, J, J / m, om.logdet, lat.n_sites)
-
-
-def reduction_jacobian_full_form(lat, c, g0, mu, kappa, m=1.0):
-    """Reduction Jacobian evaluated with the potential-sector slots kept
-    explicitly (sigma_A = 0, sigma_AB = 0, sigma_Ab = 0 at this truncation);
-    consistency partner of :func:`reduction_jacobian`."""
-    f_tilde = lat.check_doublet(c.f_tilde)
-    om = orbit_metric(lat, f_tilde, g0)
-    sig = sigma_derivatives(lat, f_tilde, g0, om)
-    g_A, g_f, _ = _gamma_contractions(lat, f_tilde, g0, om)
-    P = transverse_projector(lat)
-    _, N_f = projector_N(lat, f_tilde, g0)
-    h_ff = np.eye(2 * lat.n_sites) + N_f @ N_f.T
-    h_Ab = P @ N_f.T
-    sV = lat.dim * lat.n_sites
-    sigma_A = np.zeros(sV)
-    sigma_AB = np.zeros((sV, sV))
-    sigma_Ab = np.zeros((sV, 2 * lat.n_sites))
-    sf = flat(sig.grad_f)
-    laplace_term = float(
-        np.sum(P * sigma_AB) + 2.0 * np.sum(h_Ab * sigma_Ab)
-        + np.sum(h_ff * sig.hess_ff)
-        - flat(g_A) @ sigma_A - flat(g_f) @ sf)
-    grad_term = float(sigma_A @ P @ sigma_A + 2.0 * sigma_A @ h_Ab @ sf + sf @ h_ff @ sf)
-    J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
-    return JacobianReport(laplace_term, grad_term, J, J / m, om.logdet, lat.n_sites)
+    """Reduction Jacobian at c, see :meth:`OrbitGeometry.jacobian`."""
+    return OrbitGeometry(lat, c.f_tilde, g0).jacobian(mu, kappa, m)
 
 
 def effective_potential(lat, c, g0, mu, kappa, m=1.0, v0=None):

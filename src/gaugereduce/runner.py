@@ -28,13 +28,12 @@ import numpy as np
 
 from . import __version__
 from .gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
-                    gauge_transform, potential, projector_N, to_adapted,
-                    transverse_projector)
+                    gauge_transform, killing_vector, potential, projector_N,
+                    to_adapted, transverse_projector)
 from .kolmogorov import compare, discretization_budget
 from .lattice import Lattice, LatticeSpec, flat
-from .orbit import (SingularOrbitMetric, horizontal_metric,
-                    mechanical_connection, orbit_metric, reduction_jacobian,
-                    sigma_derivatives)
+from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
+                    orbit_metric, reduction_jacobian)
 from .sde import (SDEConfig, feynman_kac, girsanov_check, path_rng,
                   reduced_batch_diagnostics)
 
@@ -254,8 +253,7 @@ def cmd_check(config, corrupt=False):
     v2 = potential(lat, gauge_transform(lat, p, eps))
     add("potential_gauge_invariance", abs(v2 - v1) / (1.0 + abs(v1)), 1e-9)
 
-    om = orbit_metric(lat, f, g0)
-    sig = sigma_derivatives(lat, f, g0, om)
+    geo = OrbitGeometry(lat, f, g0)
     d = 1e-5
     idx = [(0, 0), (1, V // 2)]
     worst = 0.0
@@ -263,16 +261,15 @@ def cmd_check(config, corrupt=False):
         fp_ = f.copy(); fp_[a, x] += d
         fm_ = f.copy(); fm_[a, x] -= d
         fd = (orbit_metric(lat, fp_, g0).logdet - orbit_metric(lat, fm_, g0).logdet) / (2 * d)
-        worst = max(worst, abs(fd - sig.grad_f[a, x]) / max(abs(fd), 1e-12))
+        worst = max(worst, abs(fd - geo.grad_f[a, x]) / max(abs(fd), 1e-12))
     add("sigma_gradient_fd", worst, 1e-6)
 
     hm = horizontal_metric(lat, c, g0)
     add("pseudoinverse_identity", hm.pseudoinverse_residual(), 1e-9)
 
-    conn = mechanical_connection(lat, f, g0, om)
-    kA = lat.gradient(eps)
-    kf = g0 * eps * np.stack([f[1], -f[0]])
-    add("connection_reproduction", float(np.abs(conn.contract(kA, kf) - eps).max()), 1e-9)
+    kA, kf = killing_vector(lat, p, eps)
+    add("connection_reproduction",
+        float(np.abs(geo.connection().contract(kA, kf) - eps).max()), 1e-9)
 
     ok = all(r[3] == "pass" for r in rows)
     _write_csv(config, "check", ("check_name", "residual", "tolerance", "status"), rows)

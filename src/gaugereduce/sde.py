@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import FieldPair, AdaptedCoords, transverse_projector, projector_N
+from .gauge import FieldPair, AdaptedCoords, transverse_projector
 from .lattice import flat, unflat
-from .orbit import SingularOrbitMetric, reduced_drift
+from .orbit import OrbitGeometry, SingularOrbitMetric
 
 EXPONENT_GUARD = 700.0
 SINGULARITY_FLOOR = 1e-10
@@ -127,32 +127,27 @@ def euler_step_original(lat, p, cfg, rng):
     return FieldPair(A, f, p.g0)
 
 
-def euler_step_reduced(lat, c, g0, cfg, rng, flat_override=False,
-                       singularity_floor=SINGULARITY_FLOOR):
+def euler_step_reduced(lat, c, g0, cfg, rng):
     """One Euler step of the reduced dynamics on the Coulomb surface.
 
-    With ``flat_override`` the geometric drifts are forced to zero and the
-    motion is projected Brownian noise; the constraint div(A*) = 0 is
-    enforced by the transverse projector after the step either way.
+    One :class:`OrbitGeometry` supplies both the drift and the noise block
+    N_f; the constraint div(A*) = 0 is enforced by the transverse projector
+    after the step.
     """
     f2 = c.f_tilde[0] ** 2 + c.f_tilde[1] ** 2
-    if float(f2.min()) < singularity_floor:
+    if float(f2.min()) < SINGULARITY_FLOOR:
         raise SingularOrbitMetric(
             f"reduced step at degenerate orbit: min |f~|^2 = {f2.min():.3e}")
+    geo = OrbitGeometry(lat, c.f_tilde, g0)
+    drift_A, drift_f = geo.drift()
     P = transverse_projector(lat)
-    _, N_f = projector_N(lat, c.f_tilde, g0)
-    if flat_override:
-        drift_A = np.zeros_like(c.A_star)
-        drift_f = np.zeros_like(c.f_tilde)
-    else:
-        drift_A, drift_f = reduced_drift(lat, c, g0)
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (lat.dim / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
     nA = lat.dim * lat.n_sites
     dw = wiener_increments(nA + 2 * lat.n_sites, cfg.dt, rng)
     dwA, dwf = dw[:nA], dw[nA:]
     A_flat = flat(c.A_star) + pref * flat(drift_A) + noise * (P @ dwA)
-    f_flat = flat(c.f_tilde) + pref * flat(drift_f) + noise * (N_f @ dwA + dwf)
+    f_flat = flat(c.f_tilde) + pref * flat(drift_f) + noise * (geo.N_f @ dwA + dwf)
     A_flat = P @ A_flat
     return AdaptedCoords(unflat(A_flat, lat.dim, lat.n_sites),
                          unflat(f_flat, 2, lat.n_sites), c.a.copy())
@@ -176,7 +171,7 @@ def sample_original_path(lat, p0, cfg, rng, v0=None):
     return SDEPath(times, states, acc)
 
 
-def sample_reduced_path(lat, c0, g0, cfg, rng, flat_override=False, v0=None):
+def sample_reduced_path(lat, c0, g0, cfg, rng, v0=None):
     """Integrate one reduced path; aborts (and records where) at a
     degenerate orbit instead of raising.  The potential integral is
     accumulated for the surface representative (A*, f~)."""
@@ -192,7 +187,7 @@ def sample_reduced_path(lat, c0, g0, cfg, rng, flat_override=False, v0=None):
     c = c0
     for k in range(cfg.n_steps):
         try:
-            c = euler_step_reduced(lat, c, g0, cfg, rng, flat_override)
+            c = euler_step_reduced(lat, c, g0, cfg, rng)
         except SingularOrbitMetric:
             return SDEPath(times[:k + 1], states, acc[:k + 1], aborted_at=k)
         states.append(c)
@@ -353,7 +348,7 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
     return {dt: _reduce_estimate(values[dt], 0, 0.0) for dt in dts}
 
 
-def reduced_batch_diagnostics(lat, c0, g0, cfg, flat_override=False):
+def reduced_batch_diagnostics(lat, c0, g0, cfg):
     """Run cfg.n_paths reduced paths; returns (abort_fraction, endpoints).
 
     Endpoints of aborted paths are excluded; per-path generators keyed by
@@ -362,8 +357,7 @@ def reduced_batch_diagnostics(lat, c0, g0, cfg, flat_override=False):
     endpoints = []
     aborted = 0
     for i in range(cfg.n_paths):
-        path = sample_reduced_path(lat, c0, g0, cfg, path_rng(cfg.seed, i),
-                                   flat_override)
+        path = sample_reduced_path(lat, c0, g0, cfg, path_rng(cfg.seed, i))
         if path.aborted_at is not None:
             aborted += 1
         else:

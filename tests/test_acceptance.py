@@ -22,10 +22,9 @@ from gaugereduce.gauge import (AdaptedCoords, FieldPair, faddeev_popov,
                                transverse_projector)
 from gaugereduce.kolmogorov import compare, discretization_budget
 from gaugereduce.lattice import Lattice, flat
-from gaugereduce.orbit import (horizontal_metric, mean_curvature_terms,
-                               mechanical_connection, horizontal_project,
-                               orbit_metric, reduction_jacobian,
-                               sigma_derivatives)
+from gaugereduce.orbit import (OrbitGeometry, horizontal_metric,
+                               horizontal_project, orbit_metric,
+                               reduction_jacobian)
 from gaugereduce.runner import cmd_simulate, parse_config
 from gaugereduce.sde import (SDEConfig, feynman_kac, girsanov_check,
                              weak_convergence_estimates)
@@ -117,7 +116,7 @@ def test_criterion_05_sigma_derivatives():
         for _ in range(n_trials):
             f = lat.random_doublet(rng)
             count += 1
-            sig = sigma_derivatives(lat, f, g0)
+            geo = OrbitGeometry(lat, f, g0)
             fd = np.zeros_like(f)
             for a in range(2):
                 for x in range(V):
@@ -125,17 +124,17 @@ def test_criterion_05_sigma_derivatives():
                     fm_ = f.copy(); fm_[a, x] -= d
                     fd[a, x] = (orbit_metric(lat, fp_, g0).logdet
                                 - orbit_metric(lat, fm_, g0).logdet) / (2 * d)
-            worst_a = max(worst_a, float(np.linalg.norm(fd - sig.grad_f)
+            worst_a = max(worst_a, float(np.linalg.norm(fd - geo.grad_f)
                                          / np.linalg.norm(fd)))
             hfd = np.zeros((2, V, 2, V))
             for b in range(2):
                 for y in range(V):
                     fp_ = f.copy(); fp_[b, y] += d
                     fm_ = f.copy(); fm_[b, y] -= d
-                    hfd[:, :, b, y] = (sigma_derivatives(lat, fp_, g0).grad_f
-                                       - sigma_derivatives(lat, fm_, g0).grad_f) / (2 * d)
+                    hfd[:, :, b, y] = (OrbitGeometry(lat, fp_, g0).grad_f
+                                       - OrbitGeometry(lat, fm_, g0).grad_f) / (2 * d)
             hfd = hfd.reshape(2 * V, 2 * V)
-            worst_ab = max(worst_ab, float(np.linalg.norm(hfd - sig.hess_ff)
+            worst_ab = max(worst_ab, float(np.linalg.norm(hfd - geo.hess_ff)
                                            / np.linalg.norm(hfd)))
     ok = worst_a <= 1e-6 and worst_ab <= 1e-4 and count >= 20
     _report(5, "sigma derivatives vs finite differences", ok,
@@ -163,7 +162,7 @@ def test_criterion_07_connection():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(107)
     f = lat.random_doublet(rng)
-    conn = mechanical_connection(lat, f, 0.8)
+    conn = OrbitGeometry(lat, f, 0.8).connection()
     p = FieldPair(np.zeros((lat.dim, lat.n_sites)), f, 0.8)
     worst_rep = worst_hor = 0.0
     for _ in range(10):
@@ -236,8 +235,7 @@ def test_criterion_10_girsanov_consistency():
     rng = np.random.default_rng(110)
     for _ in range(5):
         f = rng.standard_normal((2, 2)) + 1.5
-        cc = AdaptedCoords(np.zeros((1, 2)), f, np.zeros(2))
-        _, _, _, j2_f = mean_curvature_terms(lat, cc, g0)
+        _, _, _, j2_f = OrbitGeometry(lat, f, g0).mean_curvature_terms()
         assert np.abs(drift(flat(f)[None, :])[0] - pref * flat(j2_f)).max() <= 1e-12
 
     cfg = SDEConfig(mu, kappa, 1e-3, 250, 100_000, 11_000)

@@ -16,12 +16,10 @@ from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform,
                                potential, projector_N, to_adapted,
                                transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
-from gaugereduce.orbit import (SingularOrbitMetric, christoffel_drift,
+from gaugereduce.orbit import (OrbitGeometry, SingularOrbitMetric,
                                effective_potential, horizontal_metric,
-                               horizontal_project, mean_curvature_terms,
-                               mechanical_connection, orbit_metric,
-                               reduced_drift, reduction_jacobian,
-                               reduction_jacobian_full_form, sigma_derivatives)
+                               horizontal_project, orbit_metric,
+                               reduced_drift, reduction_jacobian)
 
 
 def adapted(lat, f):
@@ -84,9 +82,9 @@ def test_sigma_gradient_matches_finite_differences(s, n):
     lat = Lattice(s, n)
     rng = np.random.default_rng(1)
     f = lat.random_doublet(rng)
-    sig = sigma_derivatives(lat, f, 0.8)
+    geo = OrbitGeometry(lat, f, 0.8)
     fd = _sigma_fd(lat, f, 0.8)
-    assert np.linalg.norm(fd - sig.grad_f) / np.linalg.norm(fd) <= 1e-6
+    assert np.linalg.norm(fd - geo.grad_f) / np.linalg.norm(fd) <= 1e-6
 
 
 def test_sigma_hessian_matches_finite_differences():
@@ -94,19 +92,19 @@ def test_sigma_hessian_matches_finite_differences():
     rng = np.random.default_rng(2)
     f = lat.random_doublet(rng)
     g0, d = 0.8, 1e-5
-    sig = sigma_derivatives(lat, f, g0)
+    geo = OrbitGeometry(lat, f, g0)
     V = lat.n_sites
     fd = np.zeros((2, V, 2, V))
     for b in range(2):
         for y in range(V):
             fp = f.copy(); fp[b, y] += d
             fm = f.copy(); fm[b, y] -= d
-            dp = sigma_derivatives(lat, fp, g0).grad_f
-            dm = sigma_derivatives(lat, fm, g0).grad_f
+            dp = OrbitGeometry(lat, fp, g0).grad_f
+            dm = OrbitGeometry(lat, fm, g0).grad_f
             fd[:, :, b, y] = (dp - dm) / (2 * d)
     fd = fd.reshape(2 * V, 2 * V)
-    assert np.linalg.norm(fd - sig.hess_ff) / np.linalg.norm(fd) <= 1e-4
-    assert np.abs(sig.hess_ff - sig.hess_ff.T).max() <= 1e-12
+    assert np.linalg.norm(fd - geo.hess_ff) / np.linalg.norm(fd) <= 1e-4
+    assert np.abs(geo.hess_ff - geo.hess_ff.T).max() <= 1e-12
 
 
 def test_sigma_invariant_under_global_rotation():
@@ -116,9 +114,9 @@ def test_sigma_invariant_under_global_rotation():
     th = 0.9
     fr = np.stack([np.cos(th) * f[0] + np.sin(th) * f[1],
                    -np.sin(th) * f[0] + np.cos(th) * f[1]])
-    s1 = sigma_derivatives(lat, f, 0.8)
-    s2 = sigma_derivatives(lat, fr, 0.8)
-    assert abs(s1.sigma - s2.sigma) <= 1e-10
+    s1 = orbit_metric(lat, f, 0.8)
+    s2 = orbit_metric(lat, fr, 0.8)
+    assert abs(s1.logdet - s2.logdet) <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +127,7 @@ def test_connection_reproduces_gauge_parameter():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(4)
     f = lat.random_doublet(rng)
-    conn = mechanical_connection(lat, f, 0.8)
+    conn = OrbitGeometry(lat, f, 0.8).connection()
     p = FieldPair(np.zeros((2, 16)), f, 0.8)
     for _ in range(5):
         eps = lat.random_scalar(rng)
@@ -143,8 +141,8 @@ def test_connection_scalar_block_explicit_loop():
     rng = np.random.default_rng(5)
     f = lat.random_doublet(rng)
     g0 = 0.7
-    om = orbit_metric(lat, f, g0)
-    conn = mechanical_connection(lat, f, g0, om)
+    geo = OrbitGeometry(lat, f, g0)
+    om, conn = geo.metric, geo.connection()
     jf = np.stack([f[1], -f[0]])
     V = lat.n_sites
     for x in range(V):
@@ -159,8 +157,8 @@ def test_connection_gauge_block_is_green_derivative():
     lat = Lattice(2, 3)
     rng = np.random.default_rng(6)
     f = lat.random_doublet(rng)
-    om = orbit_metric(lat, f, 0.8)
-    conn = mechanical_connection(lat, f, 0.8, om)
+    geo = OrbitGeometry(lat, f, 0.8)
+    om, conn = geo.metric, geo.connection()
     V = lat.n_sites
     for x in range(V):
         dcol = lat.gradient(om.Dinv[:, x])
@@ -172,7 +170,7 @@ def test_connection_annihilates_horizontal_projection():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(7)
     f = lat.random_doublet(rng)
-    conn = mechanical_connection(lat, f, 0.8)
+    conn = OrbitGeometry(lat, f, 0.8).connection()
     vA = lat.random_vector(rng)
     vf = lat.random_doublet(rng)
     hA, hf = horizontal_project(lat, conn, f, 0.8, vA, vf)
@@ -185,8 +183,10 @@ def test_connection_annihilates_horizontal_projection():
 
 def test_horizontal_metric_zero_field():
     lat = Lattice(2, 3)
-    hm = horizontal_metric(lat, adapted(lat, np.zeros((2, lat.n_sites))), 0.8)
-    assert_allclose(hm.h_Ab, 0.0, atol=0)
+    f = np.zeros((2, lat.n_sites))
+    hm = horizontal_metric(lat, adapted(lat, f), 0.8)
+    _, N_f = projector_N(lat, f, 0.8)
+    assert_allclose(transverse_projector(lat) @ N_f.T, 0.0, atol=0)
     assert_allclose(hm.h_ab, np.eye(2 * lat.n_sites), atol=0)
 
 
@@ -209,8 +209,8 @@ def test_h_blocks_coulomb_simplifications():
     P = transverse_projector(lat)
     assert np.abs(hm.h_AB - P).max() <= 1e-10
     # mixed potential-scalar block vanishes identically for this gauge
-    assert np.abs(hm.h_Ab).max() <= 1e-12
     _, N_f = projector_N(lat, c.f_tilde, 0.8)
+    assert np.abs(P @ N_f.T).max() <= 1e-12
     assert_allclose(hm.h_ab, np.eye(2 * lat.n_sites) + N_f @ N_f.T, atol=1e-12)
 
 
@@ -264,7 +264,7 @@ def test_christoffel_drift_fd_oracle_two_site():
     for _ in range(4):
         f = lat.random_doublet(rng)
         g0 = 0.9
-        dA, df = christoffel_drift(lat, adapted(lat, f), g0)
+        dA, df = OrbitGeometry(lat, f, g0).christoffel_drift()
         cA, cf = _fd_christoffel_contraction(lat, f, g0)
         ref_A, ref_f = -0.5 * cA, -0.5 * cf
         denom = max(np.abs(ref_f).max(), 1e-12)
@@ -277,7 +277,7 @@ def test_christoffel_drift_two_site_closed_form():
     lat = Lattice(1, 2)
     rng = np.random.default_rng(11)
     f = lat.random_doublet(rng)
-    dA, df = christoffel_drift(lat, adapted(lat, f), 0.63)
+    dA, df = OrbitGeometry(lat, f, 0.63).christoffel_drift()
     assert_allclose(df, -0.5 * f / (f[0] ** 2 + f[1] ** 2), atol=1e-13)
     assert_allclose(dA, 0.0, atol=1e-15)
 
@@ -290,16 +290,14 @@ def test_scaling_covariance():
     f = lat.random_doublet(rng)
     g0, lam = 0.8, 1.7
     c1, c2 = adapted(lat, f), adapted(lat, lam * f)
-    om1 = orbit_metric(lat, f, g0)
-    om2 = orbit_metric(lat, lam * f, g0 / lam)
-    assert np.abs(om1.D - om2.D).max() <= 1e-10
-    assert abs(om1.logdet - om2.logdet) <= 1e-10
-    s1 = sigma_derivatives(lat, f, g0, om1)
-    s2 = sigma_derivatives(lat, lam * f, g0 / lam, om2)
-    assert np.abs(s2.grad_f - s1.grad_f / lam).max() <= 1e-10
-    assert np.abs(s2.hess_ff - s1.hess_ff / lam ** 2).max() <= 1e-10
-    dA1, df1 = christoffel_drift(lat, c1, g0)
-    dA2, df2 = christoffel_drift(lat, c2, g0 / lam)
+    geo1 = OrbitGeometry(lat, f, g0)
+    geo2 = OrbitGeometry(lat, lam * f, g0 / lam)
+    assert np.abs(geo1.metric.D - geo2.metric.D).max() <= 1e-10
+    assert abs(geo1.metric.logdet - geo2.metric.logdet) <= 1e-10
+    assert np.abs(geo2.grad_f - geo1.grad_f / lam).max() <= 1e-10
+    assert np.abs(geo2.hess_ff - geo1.hess_ff / lam ** 2).max() <= 1e-10
+    dA1, df1 = geo1.christoffel_drift()
+    dA2, df2 = geo2.christoffel_drift()
     assert np.abs(df2 - df1 / lam).max() <= 1e-10
     assert np.abs(dA2 - dA1 / lam).max() <= 1e-10
     r1 = reduction_jacobian(lat, c1, g0, 1.0, 1.0)
@@ -310,7 +308,7 @@ def test_scaling_covariance():
 def test_christoffel_drift_zero_field_raises():
     lat = Lattice(1, 4)
     with pytest.raises(SingularOrbitMetric):
-        christoffel_drift(lat, adapted(lat, np.zeros((2, 4))), 0.8)
+        OrbitGeometry(lat, np.zeros((2, 4)), 0.8).christoffel_drift()
 
 
 # ----------------------------------------------------------------------
@@ -322,13 +320,13 @@ def test_j2_scalar_against_explicit_loop():
     rng = np.random.default_rng(13)
     f = lat.random_doublet(rng)
     g0 = 0.8
-    _, _, _, j2_f = mean_curvature_terms(lat, adapted(lat, f), g0)
-    sig = sigma_derivatives(lat, f, g0)
+    geo = OrbitGeometry(lat, f, g0)
+    _, _, _, j2_f = geo.mean_curvature_terms()
     _, N_f = projector_N(lat, f, g0)
     h = np.eye(2 * lat.n_sites) + N_f @ N_f.T
     n2V = 2 * lat.n_sites
     ref = np.zeros(n2V)
-    sf = flat(sig.grad_f)
+    sf = flat(geo.grad_f)
     for p in range(n2V):
         acc = 0.0
         for q in range(n2V):
@@ -343,11 +341,10 @@ def test_j2_potential_sector_blockwise_zero():
     lat = Lattice(2, 3)
     rng = np.random.default_rng(14)
     f = lat.random_doublet(rng)
-    c = adapted(lat, f)
-    _, _, j2_A, _ = mean_curvature_terms(lat, c, 0.8)
-    hm = horizontal_metric(lat, c, 0.8)
-    sig = sigma_derivatives(lat, f, 0.8)
-    blockwise = 0.25 * hm.h_Ab @ flat(sig.grad_f)
+    geo = OrbitGeometry(lat, f, 0.8)
+    _, _, j2_A, _ = geo.mean_curvature_terms()
+    _, N_f = projector_N(lat, f, 0.8)
+    blockwise = 0.25 * (transverse_projector(lat) @ N_f.T) @ flat(geo.grad_f)
     assert_allclose(flat(j2_A), blockwise, atol=1e-14)
     assert np.abs(j2_A).max() <= 1e-12
 
@@ -355,7 +352,7 @@ def test_j2_potential_sector_blockwise_zero():
 def test_mean_curvature_zero_field_raises():
     lat = Lattice(1, 4)
     with pytest.raises(SingularOrbitMetric):
-        mean_curvature_terms(lat, adapted(lat, np.zeros((2, 4))), 0.8)
+        OrbitGeometry(lat, np.zeros((2, 4)), 0.8).mean_curvature_terms()
 
 
 def test_total_potential_drift_vanishes():
@@ -407,17 +404,6 @@ def test_jacobian_quadratic_in_mu():
     r2 = reduction_jacobian(lat, c, 0.8, 2.0, 0.7)
     assert r2.J == pytest.approx(4.0 * r1.J, rel=1e-14)
     assert r1.J == pytest.approx(-0.125 * 1.0 * 0.7 * (r1.laplace_term + 0.25 * r1.grad_term))
-
-
-def test_jacobian_full_form_agrees():
-    lat = Lattice(2, 3)
-    rng = np.random.default_rng(18)
-    c = adapted(lat, lat.random_doublet(rng))
-    ra = reduction_jacobian(lat, c, 0.8, 1.1, 0.9)
-    rb = reduction_jacobian_full_form(lat, c, 0.8, 1.1, 0.9)
-    assert ra.J == pytest.approx(rb.J, abs=1e-12)
-    assert ra.laplace_term == pytest.approx(rb.laplace_term, abs=1e-12)
-    assert ra.grad_term == pytest.approx(rb.grad_term, abs=1e-12)
 
 
 def test_jacobian_translation_invariance():

@@ -1,6 +1,7 @@
 """Stochastic engine: increments, Euler steps, estimators, Girsanov, determinism."""
 
 import math
+import sys
 import types
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from gaugereduce.gauge import AdaptedCoords, FieldPair, projector_N, transverse_projector
 from gaugereduce.lattice import Lattice, flat
-from gaugereduce.orbit import SingularOrbitMetric, reduced_drift
+from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift
 from gaugereduce.sde import (SDEConfig, euler_step_original, euler_step_reduced,
                              feynman_kac, girsanov_check, path_rng,
                              sample_reduced_path, weak_convergence_estimates,
@@ -93,25 +94,17 @@ def test_reduced_step_zero_field_raises():
         euler_step_reduced(lat, c, 0.8, cfg, path_rng(1, 0))
 
 
-def test_reduced_flat_mode_preserves_constraint():
-    # forced-flat reduced motion is projected Brownian noise on the surface
-    lat = Lattice(2, 4)
-    rng = np.random.default_rng(2)
-    f0 = np.stack([np.ones(16), 0.3 * np.ones(16)])
-    c = AdaptedCoords(np.zeros((2, 16)), f0, np.zeros(16))
-    cfg = SDEConfig(1.0, 1.0, 1e-2, 50, 1, 5)
-    gen = path_rng(5, 0)
-    for _ in range(cfg.n_steps):
-        c = euler_step_reduced(lat, c, 0.8, cfg, gen, flat_override=True)
-        assert np.abs(lat.divergence(c.A_star)).max() <= 1e-10
-
-
-def test_reduced_with_drift_preserves_constraint():
-    lat = Lattice(2, 3)
-    f0 = np.stack([np.ones(9), 0.5 * np.ones(9)])
-    c = AdaptedCoords(np.zeros((2, 9)), f0, np.zeros(9))
-    cfg = SDEConfig(1.0, 1.0, 5e-3, 15, 1, 6)
-    gen = path_rng(6, 0)
+@pytest.mark.parametrize("s,n,f0,dt,n_steps,seed", [
+    (2, 3, (1.0, 0.5), 5e-3, 15, 6),
+    (2, 4, (1.0, 0.3), 1e-2, 50, 5),
+], ids=["s2n3", "s2n4"])
+def test_reduced_with_drift_preserves_constraint(s, n, f0, dt, n_steps, seed):
+    lat = Lattice(s, n)
+    V = lat.n_sites
+    c = AdaptedCoords(np.zeros((s, V)), np.stack([np.full(V, f0[0]), np.full(V, f0[1])]),
+                      np.zeros(V))
+    cfg = SDEConfig(1.0, 1.0, dt, n_steps, 1, seed)
+    gen = path_rng(seed, 0)
     for _ in range(cfg.n_steps):
         c = euler_step_reduced(lat, c, 0.8, cfg, gen)
         assert np.abs(lat.divergence(c.A_star)).max() <= 1e-10
@@ -156,21 +149,58 @@ def test_reduced_one_step_mean_is_drift():
 
 
 def test_reduced_noise_block_structure():
-    # f-sector noise is N_f dw_A + dw_f; checked against preset increments
+    # f-sector noise is N_f dw_A + dw_f; an antithetic +-z pair cancels the
+    # drift, so half the difference of the two steps is the noise
     lat = Lattice(2, 3)
     rng = np.random.default_rng(4)
     f0 = rng.standard_normal((2, 9)) + 2.0
     c0 = AdaptedCoords(np.zeros((2, 9)), f0, np.zeros(9))
     g0, cfg = 0.8, SDEConfig(1.0, 1.0, 4e-2, 1, 1, 1)
     z = rng.standard_normal(4 * 9)
-    c1 = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(z), flat_override=True)
+    cp = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(z))
+    cm = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(-z))
     dw = z * math.sqrt(cfg.dt)
     P = transverse_projector(lat)
     _, N_f = projector_N(lat, f0, g0)
     expA = P @ (cfg.mu * math.sqrt(cfg.kappa) * dw[:18])
     expf = cfg.mu * math.sqrt(cfg.kappa) * (N_f @ dw[:18] + dw[18:])
-    assert_allclose(flat(c1.A_star) - flat(c0.A_star), expA, atol=1e-14)
-    assert_allclose(flat(c1.f_tilde) - flat(c0.f_tilde), expf, atol=1e-14)
+    assert_allclose(0.5 * (flat(cp.A_star) - flat(cm.A_star)), expA, atol=1e-14)
+    assert_allclose(0.5 * (flat(cp.f_tilde) - flat(cm.f_tilde)), expf, atol=1e-14)
+
+
+def test_reduced_step_builds_one_geometry(monkeypatch):
+    # one Euler step factorizes the orbit metric, contracts Gamma and builds
+    # N_f once each, and never builds the sigma Hessian
+    from gaugereduce import gauge, orbit
+    namespaces = [m for name, m in sys.modules.items()
+                  if name == "gaugereduce" or name.startswith("gaugereduce.")]
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in [(orbit, "orbit_metric"), (orbit, "_gamma_contractions"),
+                         (gauge, "projector_N")]:
+        fn = getattr(module, name)
+        counts[name] = 0
+        wrapper = counted(name, fn)
+        for ns in namespaces:
+            for attr, obj in list(vars(ns).items()):
+                if obj is fn:
+                    monkeypatch.setattr(ns, attr, wrapper)
+
+    def no_hessian(self):
+        raise AssertionError("hess_ff built inside a reduced step")
+
+    monkeypatch.setattr(orbit.OrbitGeometry, "hess_ff", property(no_hessian))
+    lat = Lattice(2, 3)
+    rng = np.random.default_rng(5)
+    c0 = AdaptedCoords(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0, np.zeros(9))
+    euler_step_reduced(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1), path_rng(1, 0))
+    assert counts == {"orbit_metric": 1, "_gamma_contractions": 1, "projector_N": 1}
 
 
 def test_sample_original_path_contract():
@@ -274,7 +304,6 @@ def test_girsanov_constant_drift_gaussian():
 def test_girsanov_orbit_curvature_drift_two_site():
     # drift = orbit mean-curvature term on the two-site chain; the closed
     # form used for speed is validated against the geometry module
-    from gaugereduce.orbit import mean_curvature_terms
     lat = Lattice(1, 2)
     mu, kappa, g0 = 1.0, 1.0, 0.8
     pref = mu ** 2 * kappa
@@ -287,8 +316,7 @@ def test_girsanov_orbit_curvature_drift_two_site():
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.standard_normal((2, 2)) + 1.5
-        c = AdaptedCoords(np.zeros((1, 2)), f, np.zeros(2))
-        _, _, _, j2_f = mean_curvature_terms(lat, c, g0)
+        _, _, _, j2_f = OrbitGeometry(lat, f, g0).mean_curvature_terms()
         assert_allclose(drift(flat(f)[None, :])[0], pref * flat(j2_f), atol=1e-12)
 
     cfg = SDEConfig(mu, kappa, 1e-3, 100, 20_000, 8)
