@@ -11,10 +11,12 @@ Config files are flat ``key = value`` text with dotted section keys::
 Unknown keys are rejected.  Each command writes one RFC-4180 CSV file into
 ``output_dir``; the first line is a ``#`` provenance comment carrying the
 package version, the SHA-256 of the canonicalized config and the seed, so
-identical (config, seed, version) runs produce byte-identical files.  The
-environment variable GAUGE_REDUCE_THREADS caps the worker count used by the
-path estimators.  Exit codes: 0 success, 1 check/estimate failure,
-2 config error.
+identical (config, seed, version) runs produce byte-identical files: every
+path draws from a Philox stream keyed (seed, path index), which the
+estimators meet by re-keying one generator per chunk of paths.  The
+environment variable GAUGE_REDUCE_THREADS (an integer >= 1, default 1) sets
+the worker count used by the path estimators; any other value is a config
+error.  Exit codes: 0 success, 1 check/estimate failure, 2 config error.
 """
 
 import argparse
@@ -35,7 +37,7 @@ from .lattice import Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
                     orbit_metric, reduction_jacobian)
 from .sde import (SDEConfig, feynman_kac, girsanov_check, path_rng,
-                  reduced_batch_diagnostics)
+                  reduced_batch_diagnostics, worker_count)
 
 
 class ConfigError(Exception):
@@ -140,8 +142,8 @@ def parse_config(text):
     for key in ("sde.n_steps", "sde.n_paths"):
         if values[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if values["sde.seed"] < 0:
-        raise ConfigError("sde.seed must be nonnegative")
+    if not 0 <= values["sde.seed"] < 2 ** 64:
+        raise ConfigError("sde.seed must be a nonnegative 64-bit integer")
     try:
         LatticeSpec(values["lattice.dim"], values["lattice.sites_per_dim"],
                     values["lattice.spacing"])
@@ -338,6 +340,9 @@ def cmd_simulate(config):
                           noise_scale=lat.spacing ** (-lat.dim / 2.0))
         abort = 0.0
     else:
+        if config["simulate.potential"] != "zero":
+            raise ConfigError("simulate.potential is not applied along reduced "
+                              "paths; sde.process = reduced needs potential zero")
         f0 = np.stack([np.ones(lat.n_sites), np.zeros(lat.n_sites)])
         c0 = AdaptedCoords(np.zeros((lat.dim, lat.n_sites)), f0, np.zeros(lat.n_sites))
         abort, endpoints = reduced_batch_diagnostics(lat, c0, g0, cfg)
@@ -350,7 +355,9 @@ def cmd_simulate(config):
         else:
             mean, se, n = float("nan"), float("nan"), 0
         from .sde import FKEstimate
-        est = FKEstimate(mean, se, n, 0, 0.0, abort, unreliable=abort >= 0.01)
+        finite = bool(np.isfinite([mean, se]).all())
+        est = FKEstimate(mean, se, n, 0, 0.0, abort,
+                         unreliable=abort >= 0.01 or not finite)
     status = "unreliable" if est.unreliable else "ok"
     _write_csv(config, "simulate", header,
                [(config["sde.process"], f"{est.mean:.12g}", f"{est.std_error:.12g}",
@@ -419,7 +426,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-    except (ConfigError, OSError) as exc:
+        worker_count()  # refuse a bad GAUGE_REDUCE_THREADS before any work
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

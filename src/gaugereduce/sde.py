@@ -23,10 +23,13 @@ every step.  A path whose minimum sitewise |f~|^2 falls below the
 singularity floor aborts and is reported in the abort fraction.
 
 Reproducibility contract: every path draws from its own counter-based
-stream, Philox keyed by (seed, path index); per-path results land in
-preallocated slots and are reduced with np.sum in path order, so estimates
-are bitwise identical for a fixed (config, seed) regardless of the worker
-thread count (capped by the GAUGE_REDUCE_THREADS environment variable).
+stream, Philox keyed by (seed, path index), so path i's noise does not
+depend on n_paths; the batch estimators meet it by re-keying one generator
+per chunk of paths rather than constructing one per path.  Per-path results
+land in preallocated slots and are reduced with np.sum in path order, so
+estimates are bitwise identical for a fixed (config, seed) regardless of the
+worker thread count (set by the GAUGE_REDUCE_THREADS environment variable,
+an integer >= 1, default 1).
 """
 
 import math
@@ -61,7 +64,7 @@ class SDEConfig:
             raise ValueError("mu, kappa, dt must be positive")
         if self.n_steps < 1 or self.n_paths < 1:
             raise ValueError("n_steps and n_paths must be >= 1")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
 
     @property
@@ -94,7 +97,8 @@ class FKEstimate:
 
 def path_rng(seed, index):
     """Counter-based per-path generator: Philox keyed by (seed, path index)."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
+    key = np.array([int(seed), int(index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def wiener_increments(n, dt, rng):
@@ -105,12 +109,17 @@ def wiener_increments(n, dt, rng):
 
 
 def worker_count():
-    """Thread-pool size, capped by GAUGE_REDUCE_THREADS (default 1)."""
+    """Thread-pool size from GAUGE_REDUCE_THREADS (default 1); raises
+    ValueError unless it is an integer >= 1."""
+    raw = os.environ.get("GAUGE_REDUCE_THREADS", "1")
     try:
-        n = int(os.environ.get("GAUGE_REDUCE_THREADS", "1"))
+        n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(
+            f"GAUGE_REDUCE_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +211,26 @@ def sample_reduced_path(lat, c0, g0, cfg, rng, v0=None):
 # ----------------------------------------------------------------------
 
 def _chunk_normals(seed, lo, hi, n_steps, dim):
-    """Standard normals for paths lo..hi-1, one Philox stream per path."""
+    """Standard normals for paths lo..hi-1: row i - lo holds exactly the
+    draws of ``path_rng(seed, i).standard_normal((n_steps, dim))``.
+
+    One Philox generator serves the whole chunk.  Before each path it is
+    reset to a copy of its unused state (counter 0, empty output buffer)
+    with the key set to (seed, i), which is the state ``path_rng``
+    constructs, without a fresh bit generator (and its entropy draw) per
+    path.  It stays local to the call, so chunks running on different
+    threads share no state.
+    """
     out = np.empty((hi - lo, n_steps, dim))
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    key[0] = seed
     for i in range(lo, hi):
-        out[i - lo] = path_rng(seed, i).standard_normal((n_steps, dim))
+        key[1] = i
+        bitgen.state = fresh
+        gen.standard_normal(out=out[i - lo])
     return out
 
 
@@ -246,8 +271,9 @@ def _reduce_estimate(values, n_flagged, max_exponent):
         se = math.sqrt(var / n)
     else:
         se = 0.0
+    finite = math.isfinite(mean) and math.isfinite(se)
     return FKEstimate(mean, se, n, n_flagged, max_exponent,
-                      unreliable=n_flagged > 0)
+                      unreliable=n_flagged > 0 or not finite)
 
 
 def feynman_kac(phi0, v, cfg, initial, drift=None, noise_scale=1.0):

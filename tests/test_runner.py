@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from gaugereduce import runner
 from gaugereduce.runner import (ConfigError, cmd_check, cmd_compare_oracle,
                                 cmd_jacobian, cmd_simulate, main, parse_config,
                                 read_field_file, write_field_file)
@@ -54,6 +55,8 @@ def test_parse_rejects_bad_values():
         parse_config("sde.process = weird\n")
     with pytest.raises(ConfigError):
         parse_config("lattice.dim = two\n")
+    with pytest.raises(ConfigError):
+        parse_config(f"sde.seed = {2 ** 64}\n")
 
 
 def test_main_exit_codes(tmp_path):
@@ -61,6 +64,14 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("lattice.sites_per_dim = 1\n")
     assert main(["check", str(bad)]) == 2
     assert main(["check", str(tmp_path / "missing.txt")]) == 2
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_main_refuses_bad_thread_count(tmp_path, monkeypatch, threads):
+    path, _ = make_config(tmp_path)
+    monkeypatch.setenv("GAUGE_REDUCE_THREADS", threads)
+    assert main(["check", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_check_default_passes(tmp_path):
@@ -169,6 +180,31 @@ def test_cmd_simulate_reduced_diagnostics(tmp_path):
     abort = float(row[header.index("abort_fraction")])
     assert 0.0 <= abort < 0.01
     assert code == 0
+
+
+@pytest.mark.parametrize("process", ["original", "reduced"])
+def test_cmd_simulate_non_finite_estimate_is_unreliable(tmp_path, monkeypatch,
+                                                        process):
+    monkeypatch.setattr(runner, "_phi0_fn",
+                        lambda config, lat: lambda x: np.full(len(x), np.nan))
+    _, cfg = make_config(tmp_path, **{
+        "lattice.dim": 1, "lattice.sites_per_dim": 2,
+        "sde.n_paths": 4, "sde.n_steps": 5, "sde.process": process,
+    })
+    assert cmd_simulate(cfg) == 1
+    header, row = read_rows(tmp_path / "out" / "simulate.csv")
+    assert row[header.index("mean")] == "nan"
+    assert row[header.index("status")] == "unreliable"
+
+
+def test_simulate_reduced_refuses_potential(tmp_path):
+    path, cfg = make_config(tmp_path, **{
+        "lattice.dim": 1, "lattice.sites_per_dim": 2, "sde.n_paths": 2,
+        "sde.process": "reduced", "simulate.potential": "quadratic",
+    })
+    with pytest.raises(ConfigError, match="simulate.potential"):
+        cmd_simulate(cfg)
+    assert main(["simulate", str(path)]) == 2
 
 
 def test_cmd_simulate_byte_identical_across_threads(tmp_path, monkeypatch):

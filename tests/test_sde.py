@@ -11,10 +11,11 @@ from numpy.testing import assert_allclose
 from gaugereduce.gauge import AdaptedCoords, FieldPair, projector_N, transverse_projector
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift
-from gaugereduce.sde import (SDEConfig, euler_step_original, euler_step_reduced,
-                             feynman_kac, girsanov_check, path_rng,
-                             sample_reduced_path, weak_convergence_estimates,
-                             wiener_increments)
+from gaugereduce.sde import (SDEConfig, _chunk_normals, euler_step_original,
+                             euler_step_reduced, feynman_kac, girsanov_check,
+                             path_rng, sample_reduced_path,
+                             weak_convergence_estimates, wiener_increments,
+                             worker_count)
 
 
 def test_sde_config_validation():
@@ -22,6 +23,8 @@ def test_sde_config_validation():
         SDEConfig(mu=0.0, kappa=1.0, dt=1e-3, n_steps=10, n_paths=10, seed=1)
     with pytest.raises(ValueError):
         SDEConfig(mu=1.0, kappa=1.0, dt=1e-3, n_steps=0, n_paths=10, seed=1)
+    with pytest.raises(ValueError):
+        SDEConfig(mu=1.0, kappa=1.0, dt=1e-3, n_steps=10, n_paths=10, seed=2 ** 64)
     cfg = SDEConfig(1.0, 1.0, 0.01, 50, 10, 1)
     assert cfg.horizon == pytest.approx(0.5)
 
@@ -49,6 +52,36 @@ def test_wiener_independence():
     w = wiener_increments(2 * n, dt, rng).reshape(2, n)
     cov = float(np.mean(w[0] * w[1]))
     assert abs(cov) <= 4 * dt / math.sqrt(n)
+
+
+def test_path_rng_keys_every_64_bit_seed():
+    # seeds at and above 2^63 must neither collide nor wrap to another seed
+    draw = lambda seed: path_rng(seed, 0).standard_normal(4)
+    assert not np.array_equal(draw(2 ** 63), draw(2 ** 63 + 1))
+    assert not np.array_equal(draw(2 ** 64 - 1), draw(0))
+
+
+@pytest.mark.parametrize("seed,n_steps,dim", [(7, 30, 1), (2 ** 63 + 1, 5, 3)])
+def test_chunk_normals_are_the_per_path_streams(seed, n_steps, dim):
+    # row i of a chunk is path i's own (seed, i) stream, bit for bit, and
+    # does not depend on where the chunk ends (that is, on n_paths)
+    short = _chunk_normals(seed, 4096, 4100, n_steps, dim)
+    for i in range(4096, 4100):
+        ref = path_rng(seed, i).standard_normal((n_steps, dim))
+        assert short[i - 4096].tobytes() == ref.tobytes()
+    long = _chunk_normals(seed, 4096, 8192, n_steps, dim)
+    assert long[:4].tobytes() == short.tobytes()
+
+
+def test_worker_count_refuses_non_positive_or_non_integer(monkeypatch):
+    monkeypatch.delenv("GAUGE_REDUCE_THREADS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("GAUGE_REDUCE_THREADS", "3")
+    assert worker_count() == 3
+    for bad in ("abc", "", "1.5", "0", "-2"):
+        monkeypatch.setenv("GAUGE_REDUCE_THREADS", bad)
+        with pytest.raises(ValueError, match="GAUGE_REDUCE_THREADS"):
+            worker_count()
 
 
 def test_euler_original_zero_mu_is_identity():
