@@ -171,18 +171,29 @@ def transverse_projector(lat):
     return lat._cache[key]
 
 
+def green_divergence(lat):
+    """Dense (V x sV) product green @ div, cached per lattice."""
+    key = "green_div"
+    if key not in lat._cache:
+        lat._cache[key] = faddeev_popov(lat).green @ lat.divergence_matrix()
+    return lat._cache[key]
+
+
 def projector_N(lat, f_tilde, g0):
     """Projection blocks of the adapted-coordinate frame.
 
     Returns (N_A, N_f): N_A (sV x sV) is the component acting within the
     potential sector and coincides with the transverse projector for the
     Coulomb condition; N_f (2V x sV) = -K_f @ green @ div carries potential
-    directions into scalar directions and vanishes when f_tilde = 0.
+    directions into scalar directions and vanishes when f_tilde = 0.  K_f is
+    diagonal in the site, so N_f scales row x of green @ div by
+    -g0 (Jbar f~)^a(x).  f_tilde may be a stack (..., 2, V); N_f then has
+    shape (..., 2V, sV).
     """
-    fp = faddeev_popov(lat)
-    Kf = killing_doublet_matrix(lat, f_tilde, g0)
-    N_f = -Kf @ fp.green @ lat.divergence_matrix()
-    return transverse_projector(lat), N_f
+    f_tilde = lat.check_doublet(f_tilde, stacked=True)
+    jf = np.stack([f_tilde[..., 1, :], -f_tilde[..., 0, :]], axis=-2)
+    N_f = (-g0 * jf)[..., None] * green_divergence(lat)
+    return transverse_projector(lat), N_f.reshape(f_tilde.shape[:-2] + (2 * lat.n_sites, -1))
 
 
 def potential(lat, p, v0=None):

@@ -119,9 +119,10 @@ class Lattice:
                 f"vector field must have shape {(self.dim, self.n_sites)}, got {v.shape}")
         return v
 
-    def check_doublet(self, f):
+    def check_doublet(self, f, stacked=False):
+        """A doublet field (2, V); with ``stacked``, any leading axes are allowed."""
         f = np.asarray(f, dtype=float)
-        if f.shape != (2, self.n_sites):
+        if (f.shape[-2:] if stacked else f.shape) != (2, self.n_sites):
             raise ValueError(f"doublet field must have shape {(2, self.n_sites)}, got {f.shape}")
         return f
 
@@ -251,6 +252,17 @@ class Lattice:
 
     def random_doublet(self, rng):
         return rng.standard_normal((2, self.n_sites))
+
+
+def matvec(M, x):
+    """M @ x for every vector along the last axis of x, shape (..., n).
+
+    Each vector gets its own matrix-vector product (M may be one matrix or a
+    stack matching x's leading axes), so a row's result is bitwise the same
+    whether it is computed alone or stacked with others; a single matrix
+    product over the stack would let BLAS pick a kernel by stack size.
+    """
+    return (M @ x[..., None])[..., 0]
 
 
 def flat(field):

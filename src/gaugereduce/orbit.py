@@ -31,7 +31,11 @@ with laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a and
 grad_term = h^ab sigma_a sigma_b.  The potential-sector contributions
 (capital indices) vanish identically because D does not depend on the
 potential, so only the collapsed scalar-sector form is computed.
-:class:`OrbitGeometry` holds all of these pieces for one state.
+:class:`OrbitGeometry` holds all of these pieces for one state, or for a
+stack of states: every function taking f~ accepts shape (..., 2, V) and
+returns its results with the same leading axes, one Cholesky factor and one
+matrix-vector product per state, so a state's result does not depend on how
+many states are stacked with it.
 
 log det D is the bare truncated value; no continuum regularization is
 applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
@@ -42,15 +46,23 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .gauge import (faddeev_popov, from_adapted, killing_doublet_matrix,
-                    potential, projector_N, transverse_projector)
-from .lattice import flat, unflat
+from .gauge import (faddeev_popov, from_adapted, green_divergence,
+                    killing_doublet_matrix, potential, projector_N,
+                    transverse_projector)
+from .lattice import matvec, unflat
 
 
 class SingularOrbitMetric(Exception):
-    """Raised when the orbit metric degenerates (f~ too close to zero)."""
+    """Raised when the orbit metric degenerates (f~ too close to zero).
+
+    ``rows`` holds the indices (into the flattened leading axes of a stack)
+    of the degenerate states.
+    """
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = np.asarray(rows, dtype=int)
 
 
 @dataclass
@@ -142,22 +154,54 @@ class JacobianReport:
     n_sites: int
 
 
-def orbit_metric(lat, f_tilde, g0):
-    """Assemble and factorize the orbit metric for scalar configuration f~."""
-    f_tilde = lat.check_doublet(f_tilde)
-    if not np.any(f_tilde):
-        raise SingularOrbitMetric("orbit metric is singular for f~ identically zero")
-    G = lat.gradient_matrix()
-    D = G.T @ G + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
-    D = 0.5 * (D + D.T)
+def _is_positive_definite(M):
     try:
-        cho = scipy.linalg.cho_factor(D, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularOrbitMetric(f"orbit metric not positive definite: {exc}") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    Dinv = scipy.linalg.cho_solve(cho, np.eye(lat.n_sites))
-    Dinv = 0.5 * (Dinv + Dinv.T)
-    return OrbitMetric(D, np.tril(cho[0]), Dinv, logdet, lat.n_sites)
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def orbit_metric(lat, f_tilde, g0):
+    """Assemble and factorize the orbit metric for scalar configuration f~,
+    shape (2, V) or a stack (..., 2, V)."""
+    f_tilde = lat.check_doublet(f_tilde, stacked=True)
+    V = lat.n_sites
+    zero = ~np.any(f_tilde, axis=(-2, -1))
+    if np.any(zero):
+        raise SingularOrbitMetric("orbit metric is singular for f~ identically zero",
+                                  rows=np.flatnonzero(zero))
+    # G^T G = -(div o grad) because the central differences are antisymmetric
+    D = np.broadcast_to(-lat.fp_matrix(), zero.shape + (V, V)).copy()
+    sites = np.arange(V)
+    D[..., sites, sites] += g0 ** 2 * (f_tilde[..., 0, :] ** 2 + f_tilde[..., 1, :] ** 2)
+    try:
+        chol = np.linalg.cholesky(D)
+    except np.linalg.LinAlgError:
+        bad = [i for i, M in enumerate(D.reshape(-1, V, V)) if not _is_positive_definite(M)]
+        raise SingularOrbitMetric("orbit metric not positive definite", rows=bad) from None
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    chol_inv = np.linalg.inv(chol)
+    Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
+    Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
+    return OrbitMetric(D, chol, Dinv, logdet, V)
+
+
+def _scalar_metric_block(lat, f_tilde, g0):
+    """h_ff = I + N_f N_f^T for f~ of shape (..., 2, V).
+
+    N_f = -K_f green div, and (green div)(green div)^T = -green, so
+    h_ff((a,x), (b,y)) = d_ab d_xy - g0^2 (Jbar f~)^a(x) (Jbar f~)^b(y) green(x, y),
+    built without the (2V x sV) factors; it is exactly symmetric.
+    """
+    V = lat.n_sites
+    u = g0 * np.stack([f_tilde[..., 1, :], -f_tilde[..., 0, :]], axis=-2).reshape(
+        f_tilde.shape[:-2] + (2 * V,))
+    neg_green = np.tile(-faddeev_popov(lat).green, (2, 2))
+    h = u[..., :, None] * u[..., None, :] * neg_green
+    diag = np.arange(2 * V)
+    h[..., diag, diag] += 1.0
+    return h
 
 
 def horizontal_project(lat, conn, f_tilde, g0, vA, vf):
@@ -178,18 +222,15 @@ def horizontal_metric(lat, c, g0):
     f_tilde = lat.check_doublet(c.f_tilde)
     fp = faddeev_popov(lat)
     P = transverse_projector(lat)
-    G = lat.gradient_matrix()
     Kf = killing_doublet_matrix(lat, f_tilde, g0)
-    _, N_f = projector_N(lat, f_tilde, g0)
-    D = G.T @ G + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
-    Lam = fp.green @ lat.divergence_matrix()          # (V, sV)
+    D = -lat.fp_matrix() + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
     return HorizontalMetric(
         g_AA=P,
         g_fg=Kf,
-        g_gg=0.5 * (D + D.T),
+        g_gg=D,
         h_AB=P,
-        h_ab=np.eye(2 * lat.n_sites) + N_f @ N_f.T,
-        h_Ag=P @ Lam.T,
+        h_ab=_scalar_metric_block(lat, f_tilde, g0),
+        h_Ag=P @ green_divergence(lat).T,
         h_ag=Kf @ fp.green,
         h_gg=-fp.green,
         basis=fp.range_basis,
@@ -197,7 +238,9 @@ def horizontal_metric(lat, c, g0):
 
 
 class OrbitGeometry:
-    """Orbit geometry of one scalar configuration f~.
+    """Orbit geometry of one scalar configuration f~ of shape (2, V), or of a
+    stack of them, shape (..., 2, V); every piece then carries the same
+    leading axes.
 
     Construction factorizes the orbit metric (``metric``), so a degenerate
     orbit raises :class:`SingularOrbitMetric` here.  The derived pieces --
@@ -209,51 +252,59 @@ class OrbitGeometry:
 
     def __init__(self, lat, f_tilde, g0):
         self.lat = lat
-        self.f_tilde = lat.check_doublet(f_tilde)
+        self.f_tilde = lat.check_doublet(f_tilde, stacked=True)
         self.g0 = g0
         self.metric = orbit_metric(lat, self.f_tilde, g0)
-        self.jf = np.stack([self.f_tilde[1], -self.f_tilde[0]])    # Jbar f~
+        self.jf = np.stack([self.f_tilde[..., 1, :], -self.f_tilde[..., 0, :]],
+                           axis=-2)                                      # Jbar f~
+        self.lead = self.f_tilde.shape[:-2]
+
+    def _fields(self, vec, components):
+        """Unflatten (..., components * V) to (..., components, V)."""
+        return vec.reshape(self.lead + (components, self.lat.n_sites))
 
     @cached_property
     def N_f(self):
-        """Scalar-sector projection block (2V, sV), see :func:`projector_N`."""
+        """Scalar-sector projection block (..., 2V, sV), see :func:`projector_N`."""
         return projector_N(self.lat, self.f_tilde, self.g0)[1]
 
     @cached_property
     def h_ff(self):
         """Scalar-scalar block I + N_f N_f^T of the horizontal metric."""
-        return np.eye(2 * self.lat.n_sites) + self.N_f @ self.N_f.T
+        return _scalar_metric_block(self.lat, self.f_tilde, self.g0)
 
     @cached_property
     def A_gauge(self):
-        """Gauge block of the connection, (V, sV)."""
+        """Gauge block of the connection, (..., V, sV)."""
         return self.metric.Dinv @ self.lat.gradient_matrix().T
 
     @cached_property
     def A_scalar(self):
-        """Scalar block of the connection, (V, 2V)."""
-        return np.concatenate([self.metric.Dinv * (self.g0 * self.jf[a])
-                               for a in range(2)], axis=1)
+        """Scalar block of the connection, (..., V, 2V)."""
+        V = self.lat.n_sites
+        blocks = self.metric.Dinv[..., :, None, :] * (self.g0 * self.jf)[..., None, :, :]
+        return blocks.reshape(self.lead + (V, 2 * V))
 
     @cached_property
     def grad_f(self):
-        """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (2, V)."""
-        return 2.0 * self.g0 ** 2 * self.f_tilde * np.diag(self.metric.Dinv)
+        """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (..., 2, V)."""
+        diag = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        return 2.0 * self.g0 ** 2 * self.f_tilde * diag[..., None, :]
 
     @cached_property
     def hess_ff(self):
-        """sigma_ab(x, y), shape (2V, 2V)."""
+        """sigma_ab(x, y), shape (..., 2V, 2V)."""
         V, g0, Dinv = self.lat.n_sites, self.g0, self.metric.Dinv
-        f = flat(self.f_tilde)
-        hess = -4.0 * g0 ** 4 * np.einsum("p,q,pq->pq", f, f,
-                                          np.tile(Dinv ** 2, (2, 2)), optimize=True)
-        # careful: the Dinv(x,y)^2 factor pairs site indices of p=(a,x), q=(b,y)
-        hess = hess.reshape(2, V, 2, V)
-        diag_term = 2.0 * g0 ** 2 * np.diag(Dinv)
+        f = self.f_tilde.reshape(self.lead + (2 * V,))
+        # the Dinv(x,y)^2 factor pairs the site indices of p=(a,x), q=(b,y)
+        hess = -4.0 * g0 ** 4 * f[..., :, None] * f[..., None, :] * np.tile(Dinv ** 2, (2, 2))
+        hess = hess.reshape(self.lead + (2, V, 2, V))
+        diag_term = 2.0 * g0 ** 2 * np.diagonal(Dinv, axis1=-2, axis2=-1)
+        sites = np.arange(V)
         for a in range(2):
-            hess[a, np.arange(V), a, np.arange(V)] += diag_term
-        hess = hess.reshape(2 * V, 2 * V)
-        return 0.5 * (hess + hess.T)
+            hess[..., a, sites, a, sites] += diag_term
+        hess = hess.reshape(self.lead + (2 * V, 2 * V))
+        return 0.5 * (hess + np.swapaxes(hess, -2, -1))
 
     @cached_property
     def gamma(self):
@@ -267,9 +318,10 @@ class OrbitGeometry:
     def christoffel_drift(self):
         """Drift contribution -1/2 h^{BM} Gamma^{.}_{BM} of the reduced dynamics.
 
-        Returns (drift_A, drift_f) as (s, V) and (2, V) fields.  Both vanish
-        for f~ -> 0 at fixed orbit Green function; the potential-sector part
-        is a pure gradient and is cancelled by the orbit-space mean curvature.
+        Returns (drift_A, drift_f) as (..., s, V) and (..., 2, V) fields.
+        Both vanish for f~ -> 0 at fixed orbit Green function; the
+        potential-sector part is a pure gradient and is cancelled by the
+        orbit-space mean curvature.
         """
         g_A, g_f = self.gamma
         return -0.5 * g_A, -0.5 * g_f
@@ -283,18 +335,21 @@ class OrbitGeometry:
         slot of sigma' identically zero.
         """
         lat = self.lat
+        s, V = lat.dim, lat.n_sites
         P = transverse_projector(lat)
-        gA = flat(self.gamma[0])
-        sf = flat(self.grad_f)
-        j1_A = unflat(0.5 * (gA - P @ gA), lat.dim, lat.n_sites)
-        j1_f = unflat(-0.5 * (self.N_f @ gA), 2, lat.n_sites)
-        j2_A = unflat(0.25 * (P @ (self.N_f.T @ sf)), lat.dim, lat.n_sites)
-        j2_f = unflat(0.25 * (self.h_ff @ sf), 2, lat.n_sites)
+        gA = self.gamma[0].reshape(self.lead + (s * V,))
+        sf = self.grad_f.reshape(self.lead + (2 * V,))
+        N_f = self.N_f
+        j1_A = self._fields(0.5 * (gA - matvec(P, gA)), s)
+        j1_f = self._fields(-0.5 * matvec(N_f, gA), 2)
+        j2_A = self._fields(0.25 * matvec(P, matvec(np.swapaxes(N_f, -2, -1), sf)), s)
+        j2_f = self._fields(0.25 * matvec(self.h_ff, sf), 2)
         return j1_A, j1_f, j2_A, j2_f
 
     def drift(self):
         """Total geometric drift (-1/2 h Gamma + j1 + j2) of the reduced
-        dynamics, before the mu^2 kappa prefactor.  Returns ((s,V), (2,V))."""
+        dynamics, before the mu^2 kappa prefactor.  Returns
+        ((..., s, V), (..., 2, V))."""
         dA, df = self.christoffel_drift()
         j1_A, j1_f, j2_A, j2_f = self.mean_curvature_terms()
         return dA + j1_A + j2_A, df + j1_f + j2_f
@@ -302,10 +357,13 @@ class OrbitGeometry:
     def jacobian(self, mu, kappa, m=1.0):
         """Exponential part of the reduction Jacobian and the potential
         correction, scalar sector only (the potential-sector slots of sigma'
-        and sigma'' are identically zero)."""
-        sf = flat(self.grad_f)
-        laplace_term = float(np.sum(self.h_ff * self.hess_ff) - flat(self.gamma[1]) @ sf)
-        grad_term = float(sf @ self.h_ff @ sf)
+        and sigma'' are identically zero).  Fields are floats for one state
+        and arrays over the leading axes for a stack."""
+        V = self.lat.n_sites
+        sf = self.grad_f.reshape(self.lead + (2 * V,))
+        g_f = self.gamma[1].reshape(self.lead + (2 * V,))
+        laplace_term = np.sum(self.h_ff * self.hess_ff, axis=(-2, -1)) - np.sum(g_f * sf, axis=-1)
+        grad_term = np.sum(sf * matvec(self.h_ff, sf), axis=-1)
         J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
         return JacobianReport(laplace_term, grad_term, J, J / m,
                               self.metric.logdet, self.lat.n_sites)
@@ -314,37 +372,33 @@ class OrbitGeometry:
 def _gamma_contractions(geo):
     """h^{BM} Gamma^{.}_{BM} contractions of the horizontal-metric Christoffel
     table for an :class:`OrbitGeometry`; returns (g_A, g_f) as fields
-    ((s,V) and (2,V)).
+    ((..., s, V) and (..., 2, V)).
 
     Only the potential-potential and scalar-scalar blocks of h contribute
     (the mixed block vanishes identically for the Coulomb condition).  The
     scalar-sector result combines the f~-derivative of the connection, the
     f~-derivative of the scalar Killing block, and the orbit curvature of
-    both connection blocks; the potential-sector result is the pure gradient
-    -grad(S) with S the h-traced connection derivative.
+    the scalar connection block; the potential-sector result is the pure
+    gradient -grad(S) with S the h-traced connection derivative.
+
+    Two terms of the general contraction vanish identically and are not
+    formed: the curvature diagonal of the gauge block,
+    diag(A_gauge P A_gauge^T) = diag(Dinv grad^T P grad Dinv), is zero
+    because P kills gradients; and the derivative of Jbar in A_scalar
+    contributes h^{(0x)(1x)} - h^{(1x)(0x)}, zero because h_ff is symmetric.
     """
     lat, f_tilde, jf, g0 = geo.lat, geo.f_tilde, geo.jf, geo.g0
     V = lat.n_sites
-    Dinv = geo.metric.Dinv
-    h4 = geo.h_ff.reshape(2, V, 2, V)
-
-    # S(x) = sum_{pq} h^{pq} dA_scalar^x_p / df~^q
-    T1 = np.einsum("aycz,zy,ay->cz", h4, Dinv, jf, optimize=True)
-    tbar = np.diag(h4[0, :, 1, :]) - np.diag(h4[1, :, 0, :])
-    S = -2.0 * g0 ** 3 * (Dinv @ np.sum(f_tilde * T1, axis=0)) + g0 * (Dinv @ tbar)
-
-    # curvature diagonals W(y,y) of the connection blocks
-    A_g = geo.A_gauge
-    diag_WA = np.einsum("xp,pq,xq->x", A_g, transverse_projector(lat), A_g, optimize=True)
-    AsH = geo.A_scalar @ geo.h_ff
-    diag_WF = np.einsum("xp,xp->x", AsH, geo.A_scalar)
-    AsH3 = AsH.reshape(V, 2, V)
-    TT = np.stack([np.diag(AsH3[:, c, :]) for c in range(2)], axis=1)   # (V, 2)
-    t2 = np.stack([-2.0 * g0 * TT[:, 1], 2.0 * g0 * TT[:, 0]])          # (2, V)
-
-    curv = -g0 ** 2 * f_tilde * (diag_WA + diag_WF)
-    g_f = curv + t2 - g0 * jf * S
-    g_A = -lat.gradient(S)
+    A_s = geo.A_scalar
+    AsH = A_s @ geo.h_ff                                             # (..., V, 2V)
+    # TT[c, x] = (A_scalar h)(x, (c, x)) = g0 sum_{a,y} h^{(a,y)(c,x)} Dinv(x,y) (Jbar f~)^a(y)
+    TT = np.diagonal(AsH.reshape(geo.lead + (V, 2, V)), axis1=-3, axis2=-1)
+    # S(x) = sum_{pq} h^{pq} dA_scalar^x_p / df~^q = -2 g0^2 (Dinv sum_c f~^c TT[c])(x)
+    S = matvec(geo.metric.Dinv, -2.0 * g0 ** 2 * np.sum(f_tilde * TT, axis=-2))
+    diag_WF = np.sum(AsH * A_s, axis=-1)
+    t2 = 2.0 * g0 * np.stack([-TT[..., 1, :], TT[..., 0, :]], axis=-2)
+    g_f = -g0 ** 2 * f_tilde * diag_WF[..., None, :] + t2 - g0 * jf * S[..., None, :]
+    g_A = geo._fields(-matvec(lat.gradient_matrix(), S), lat.dim)
     return g_A, g_f
 
 

@@ -36,8 +36,8 @@ from .kolmogorov import compare, discretization_budget
 from .lattice import Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
                     orbit_metric, reduction_jacobian)
-from .sde import (SDEConfig, feynman_kac, girsanov_check, path_rng,
-                  reduced_batch_diagnostics, worker_count)
+from .sde import (SDEConfig, _reduce_estimate, feynman_kac, girsanov_check,
+                  path_rng, reduced_batch_diagnostics, worker_count)
 
 
 class ConfigError(Exception):
@@ -91,9 +91,10 @@ _CHOICES = {
 class ExperimentConfig:
     """Validated flat configuration; values accessible by dotted key."""
 
-    def __init__(self, values, text):
+    def __init__(self, values, text, explicit=frozenset()):
         self.values = values
         self.text = text
+        self.explicit = explicit     # keys set in the text, not defaulted
 
     def __getitem__(self, key):
         return self.values[key]
@@ -117,6 +118,7 @@ class ExperimentConfig:
 def parse_config(text):
     """Parse and validate a flat key/value config; strict on unknown keys."""
     values = {k: d for k, (_, d) in _SCHEMA.items()}
+    explicit = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,6 +131,7 @@ def parse_config(text):
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         typ, _ = _SCHEMA[key]
+        explicit.add(key)
         try:
             values[key] = typ(val)
         except ValueError as exc:
@@ -149,7 +152,7 @@ def parse_config(text):
                     values["lattice.spacing"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(values, text)
+    return ExperimentConfig(values, text, frozenset(explicit))
 
 
 def load_config(path):
@@ -338,7 +341,6 @@ def cmd_simulate(config):
         initial[lat.dim * lat.n_sites:(lat.dim + 1) * lat.n_sites] = 1.0  # f1 = 1
         est = feynman_kac(_phi0_fn(config, lat), _v_fn(config, lat), cfg, initial,
                           noise_scale=lat.spacing ** (-lat.dim / 2.0))
-        abort = 0.0
     else:
         if config["simulate.potential"] != "zero":
             raise ConfigError("simulate.potential is not applied along reduced "
@@ -346,23 +348,13 @@ def cmd_simulate(config):
         f0 = np.stack([np.ones(lat.n_sites), np.zeros(lat.n_sites)])
         c0 = AdaptedCoords(np.zeros((lat.dim, lat.n_sites)), f0, np.zeros(lat.n_sites))
         abort, endpoints = reduced_batch_diagnostics(lat, c0, g0, cfg)
-        phi0 = _phi0_fn(config, lat)
-        if endpoints:
-            vals = phi0(np.stack([flat(c.f_tilde) for c in endpoints]))
-            n = len(vals)
-            mean = float(np.sum(vals) / n)
-            se = float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        else:
-            mean, se, n = float("nan"), float("nan"), 0
-        from .sde import FKEstimate
-        finite = bool(np.isfinite([mean, se]).all())
-        est = FKEstimate(mean, se, n, 0, 0.0, abort,
-                         unreliable=abort >= 0.01 or not finite)
+        ends = np.array([flat(c.f_tilde) for c in endpoints]).reshape(-1, 2 * lat.n_sites)
+        est = _reduce_estimate(_phi0_fn(config, lat)(ends), 0, 0.0, abort)
     status = "unreliable" if est.unreliable else "ok"
     _write_csv(config, "simulate", header,
                [(config["sde.process"], f"{est.mean:.12g}", f"{est.std_error:.12g}",
                  est.n_paths, est.n_flagged, f"{est.max_exponent:.6g}",
-                 f"{abort:.6g}", status)])
+                 f"{est.abort_fraction:.6g}", status)])
     return 1 if est.unreliable else 0
 
 
@@ -390,8 +382,10 @@ def cmd_compare_oracle(config):
         return 0 if verdict.passed else 1
     # girsanov: drifted vs reweighted driftless, drift = orbit mean curvature
     # on the two-site chain (vectorized closed form f/(2|f|^2) per site).
-    lat = Lattice(1, 2)
-    g0 = config["fields.g0"]
+    given = sorted(k for k in config.explicit if k.startswith("lattice."))
+    if given:
+        raise ConfigError(f"oracle.kind = girsanov runs on the fixed two-site chain "
+                          f"(dim 1, 2 sites, spacing 1); remove {', '.join(given)}")
     f0 = np.stack([np.ones(2), np.zeros(2)])
     pref = mu ** 2 * kappa
 

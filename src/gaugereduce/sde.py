@@ -19,17 +19,24 @@ The reduced process lives on the Coulomb surface:
     df~ = mu^2 kappa drift_f dt + mu sqrt(kappa) (N_f dw_A + dw_f),
 
 with drifts from :mod:`.orbit` and the transverse projector re-applied after
-every step.  A path whose minimum sitewise |f~|^2 falls below the
-singularity floor aborts and is reported in the abort fraction.
+every step.  :func:`reduced_batch_diagnostics` integrates paths in chunks
+whose states are stacked along a leading axis, so each step builds one
+stacked :class:`~.orbit.OrbitGeometry` for all live paths of the chunk; the
+rows of a chunk are capped so its noise and per-path geometry stay within
+about _REDUCED_CHUNK_BYTES.  A path aborts, and is reported in the abort
+fraction, when a step would start from a non-finite state, from a minimum
+sitewise |f~|^2 below the singularity floor or from an orbit metric that is
+not positive definite, or when its final state is non-finite.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
-depend on n_paths; the batch estimators meet it by re-keying one generator
-per chunk of paths rather than constructing one per path.  Per-path results
-land in preallocated slots and are reduced with np.sum in path order, so
-estimates are bitwise identical for a fixed (config, seed) regardless of the
-worker thread count (set by the GAUGE_REDUCE_THREADS environment variable,
-an integer >= 1, default 1).
+depend on n_paths; the batch estimators and the reduced integrator meet it
+by re-keying one generator per chunk of paths rather than constructing one
+per path.  Per-path results land in preallocated slots and are reduced with
+np.sum in path order, and a reduced path's arithmetic does not depend on the
+paths stacked with it, so results are bitwise identical for a fixed (config,
+seed) regardless of the chunking and the worker thread count (set by the
+GAUGE_REDUCE_THREADS environment variable, an integer >= 1, default 1).
 """
 
 import math
@@ -40,12 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import FieldPair, AdaptedCoords, transverse_projector
-from .lattice import flat, unflat
+from .lattice import flat, matvec, unflat
 from .orbit import OrbitGeometry, SingularOrbitMetric
 
 EXPONENT_GUARD = 700.0
 SINGULARITY_FLOOR = 1e-10
+ABORT_LIMIT = 0.01
 _CHUNK = 4096
+_REDUCED_CHUNK_BYTES = 32 * 2 ** 20
 
 
 @dataclass
@@ -136,30 +145,47 @@ def euler_step_original(lat, p, cfg, rng):
     return FieldPair(A, f, p.g0)
 
 
-def euler_step_reduced(lat, c, g0, cfg, rng):
-    """One Euler step of the reduced dynamics on the Coulomb surface.
+def _steppable(A, f):
+    """Which states (A, f) of shape (..., sV) and (..., 2, V) a reduced step
+    may start from: A finite, and every sitewise |f~|^2 finite and at or
+    above the singularity floor."""
+    f2 = f[..., 0, :] ** 2 + f[..., 1, :] ** 2
+    return (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
+            & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
 
-    One :class:`OrbitGeometry` supplies both the drift and the noise block
-    N_f; the constraint div(A*) = 0 is enforced by the transverse projector
-    after the step.
-    """
-    f2 = c.f_tilde[0] ** 2 + c.f_tilde[1] ** 2
-    if float(f2.min()) < SINGULARITY_FLOOR:
-        raise SingularOrbitMetric(
-            f"reduced step at degenerate orbit: min |f~|^2 = {f2.min():.3e}")
-    geo = OrbitGeometry(lat, c.f_tilde, g0)
+
+def _reduced_increment(lat, geo, A, cfg, dw):
+    """Euler update of the states of ``geo`` (and potentials A, (..., sV))
+    with Wiener increments dw, (..., sV + 2V); returns the new (A, f~) as
+    (..., sV) and (..., 2, V).  The constraint div(A*) = 0 is enforced by the
+    transverse projector after the step."""
     drift_A, drift_f = geo.drift()
     P = transverse_projector(lat)
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (lat.dim / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
     nA = lat.dim * lat.n_sites
-    dw = wiener_increments(nA + 2 * lat.n_sites, cfg.dt, rng)
-    dwA, dwf = dw[:nA], dw[nA:]
-    A_flat = flat(c.A_star) + pref * flat(drift_A) + noise * (P @ dwA)
-    f_flat = flat(c.f_tilde) + pref * flat(drift_f) + noise * (geo.N_f @ dwA + dwf)
-    A_flat = P @ A_flat
-    return AdaptedCoords(unflat(A_flat, lat.dim, lat.n_sites),
-                         unflat(f_flat, 2, lat.n_sites), c.a.copy())
+    dwA, dwf = dw[..., :nA], dw[..., nA:]
+    A_new = A + pref * drift_A.reshape(A.shape) + noise * matvec(P, dwA)
+    f_new = geo.f_tilde + pref * drift_f + noise * (matvec(geo.N_f, dwA) + dwf).reshape(
+        drift_f.shape)
+    return matvec(P, A_new), f_new
+
+
+def euler_step_reduced(lat, c, g0, cfg, rng):
+    """One Euler step of the reduced dynamics on the Coulomb surface.
+
+    One :class:`OrbitGeometry` supplies both the drift and the noise block
+    N_f.  A non-finite state or one with min |f~|^2 below the singularity
+    floor raises :class:`SingularOrbitMetric`, as does a metric that is not
+    positive definite.
+    """
+    A = flat(c.A_star)
+    if not _steppable(A, c.f_tilde):
+        raise SingularOrbitMetric("reduced step at a degenerate or non-finite state")
+    geo = OrbitGeometry(lat, c.f_tilde, g0)
+    dw = wiener_increments(A.size + 2 * lat.n_sites, cfg.dt, rng)
+    A, f = _reduced_increment(lat, geo, A, cfg, dw)
+    return AdaptedCoords(unflat(A, lat.dim, lat.n_sites), f, c.a.copy())
 
 
 def sample_original_path(lat, p0, cfg, rng, v0=None):
@@ -263,17 +289,21 @@ def _integrate_chunk(cfg, initial, z, drift, v, phi0, noise_scale,
     return phi0(x), exponent, logdens
 
 
-def _reduce_estimate(values, n_flagged, max_exponent):
+def _reduce_estimate(values, n_flagged, max_exponent, abort_fraction=0.0):
+    """Mean and standard error over the per-path values; unreliable when a
+    path was flagged, ABORT_LIMIT or more of the paths aborted, or the
+    estimate is not finite (no values at all gives NaN)."""
     n = values.shape[0]
-    mean = float(np.sum(values) / n)
+    mean = float(np.sum(values) / n) if n else math.nan
     if n > 1:
         var = float(np.sum((values - mean) ** 2) / (n - 1))
         se = math.sqrt(var / n)
     else:
-        se = 0.0
+        se = 0.0 if n else math.nan
     finite = math.isfinite(mean) and math.isfinite(se)
-    return FKEstimate(mean, se, n, n_flagged, max_exponent,
-                      unreliable=n_flagged > 0 or not finite)
+    return FKEstimate(mean, se, n, n_flagged, max_exponent, abort_fraction,
+                      unreliable=(n_flagged > 0 or abort_fraction >= ABORT_LIMIT
+                                  or not finite))
 
 
 def feynman_kac(phi0, v, cfg, initial, drift=None, noise_scale=1.0):
@@ -374,25 +404,71 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
     return {dt: _reduce_estimate(values[dt], 0, 0.0) for dt in dts}
 
 
+def _geometry_of_rows(lat, f, g0, keep):
+    """OrbitGeometry of the states f[keep], after clearing ``keep`` for the
+    states whose orbit metric is not positive definite; None if none is
+    left."""
+    while keep.any():
+        try:
+            return OrbitGeometry(lat, f[keep], g0)
+        except SingularOrbitMetric as exc:
+            if not exc.rows.size:
+                raise
+            keep[np.flatnonzero(keep)[exc.rows]] = False
+    return None
+
+
 def reduced_batch_diagnostics(lat, c0, g0, cfg):
     """Run cfg.n_paths reduced paths; returns (abort_fraction, endpoints).
 
-    Endpoints of aborted paths are excluded; per-path generators keyed by
-    (seed, path index) as everywhere else.
+    Paths are integrated in chunks, each chunk's states stacked along a
+    leading axis so one :class:`OrbitGeometry` serves every live path of a
+    step.  Path i's noise is row i of the chunk's normals, exactly the
+    stream of ``path_rng(seed, i)``, and its arithmetic does not depend on
+    which paths share its chunk, so its endpoint is bitwise independent of
+    n_paths, the chunking and the thread count.  A path aborts, and its endpoint is
+    excluded, when a step would start from a non-finite state, from min
+    |f~|^2 below the singularity floor or from an orbit metric that is not
+    positive definite, or when its final state is non-finite.
     """
-    endpoints = []
-    aborted = 0
-    for i in range(cfg.n_paths):
-        path = sample_reduced_path(lat, c0, g0, cfg, path_rng(cfg.seed, i))
-        if path.aborted_at is not None:
-            aborted += 1
-        else:
-            endpoints.append(path.states[-1])
-    return aborted / cfg.n_paths, endpoints
+    s, V = lat.dim, lat.n_sites
+    d = (s + 2) * V
+    A0 = flat(c0.A_star)
+    f0 = lat.check_doublet(c0.f_tilde)
+    ends_A = np.empty((cfg.n_paths, s * V))
+    ends_f = np.empty((cfg.n_paths, 2, V))
+    done = np.zeros(cfg.n_paths, dtype=bool)
+    sqdt = math.sqrt(cfg.dt)
+
+    def run(lo, hi):
+        z = _chunk_normals(cfg.seed, lo, hi, cfg.n_steps, d)
+        live = np.arange(hi - lo)
+        A = np.tile(A0, (live.size, 1))
+        f = np.tile(f0, (live.size, 1, 1))
+        # a diverging path overflows before it aborts; the abort accounts for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(cfg.n_steps):
+                keep = _steppable(A, f)
+                geo = _geometry_of_rows(lat, f, g0, keep)
+                live = live[keep]
+                if geo is None:
+                    return
+                A, f = _reduced_increment(lat, geo, A[keep], cfg, z[live, k] * sqdt)
+        keep = np.isfinite(A).all(axis=-1) & np.isfinite(f).all(axis=(-2, -1))
+        paths = lo + live[keep]
+        ends_A[paths], ends_f[paths], done[paths] = A[keep], f[keep], True
+
+    # a chunk's noise (n_steps x d normals a path) and about 32 V x V arrays
+    # of per-path geometry fit in _REDUCED_CHUNK_BYTES
+    rows = _REDUCED_CHUNK_BYTES // (8 * (cfg.n_steps * d + 32 * V * V))
+    _run_chunks(run, cfg.n_paths, max(1, min(_CHUNK, rows)))
+    endpoints = [AdaptedCoords(unflat(ends_A[i], s, V), ends_f[i], c0.a.copy())
+                 for i in np.flatnonzero(done)]
+    return (cfg.n_paths - len(endpoints)) / cfg.n_paths, endpoints
 
 
-def _run_chunks(run, n_paths):
-    spans = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _run_chunks(run, n_paths, rows=_CHUNK):
+    spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     workers = worker_count()
     if workers == 1 or len(spans) == 1:
         for lo, hi in spans:

@@ -62,6 +62,40 @@ def test_orbit_metric_inverse_and_logdet():
     assert abs(om.logdet - np.sum(np.log(evals))) <= 1e-8
 
 
+@pytest.mark.parametrize("s,n", [(1, 5), (2, 3), (2, 4), (3, 4)])
+def test_stacked_geometry_matches_single_states(s, n):
+    # a (3, 2, V) stack gives, state by state, the drift, N_f and Jacobian of
+    # the one-state geometry within 1e-12 relative
+    lat = Lattice(s, n)
+    rng = np.random.default_rng(40 + 10 * s + n)
+    fs = rng.standard_normal((3, 2, lat.n_sites))
+    geo = OrbitGeometry(lat, fs, 0.8)
+    dA, df = geo.drift()
+    rep = geo.jacobian(1.1, 0.9)
+    assert dA.shape == (3, s, lat.n_sites) and df.shape == (3, 2, lat.n_sites)
+    for k in range(3):
+        one = OrbitGeometry(lat, fs[k], 0.8)
+        dA1, df1 = one.drift()
+        rep1 = one.jacobian(1.1, 0.9)
+        scale = np.abs(df1).max()
+        assert np.abs(df[k] - df1).max() <= 1e-12 * scale
+        assert np.abs(dA[k] - dA1).max() <= 1e-12 * scale   # both ~0
+        assert np.abs(geo.N_f[k] - one.N_f).max() <= 1e-12 * np.abs(one.N_f).max()
+        for name in ("J", "laplace_term", "grad_term", "logdet"):
+            want = getattr(rep1, name)
+            assert abs(getattr(rep, name)[k] - want) <= 1e-12 * abs(want)
+
+
+def test_orbit_metric_stack_names_degenerate_states():
+    lat = Lattice(1, 4)
+    rng = np.random.default_rng(41)
+    fs = rng.standard_normal((2, 3, 2, 4))
+    fs[1, 2] = 0.0
+    with pytest.raises(SingularOrbitMetric) as info:
+        orbit_metric(lat, fs, 0.8)
+    assert info.value.rows.tolist() == [5]
+
+
 # ----------------------------------------------------------------------
 # sigma derivatives
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ def make_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     base.update(overrides)
-    text = "\n".join(f"{k} = {v}" for k, v in base.items())
+    text = "\n".join(f"{k} = {v}" for k, v in base.items() if v is not None)
     path = tmp_path / "config.txt"
     path.write_text(text)
     return path, parse_config(text)
@@ -182,6 +182,51 @@ def test_cmd_simulate_reduced_diagnostics(tmp_path):
     assert code == 0
 
 
+def test_cmd_simulate_reduced_non_finite_paths_abort(tmp_path, monkeypatch):
+    # a NaN increment turns one path of four non-finite; it is counted as an
+    # abort (the run is unreliable, exit code 1) instead of crashing the run
+    from gaugereduce import sde
+    real = sde._chunk_normals
+
+    def poisoned(seed, lo, hi, n_steps, dim):
+        z = real(seed, lo, hi, n_steps, dim)
+        if lo <= 1 < hi:
+            z[1 - lo, 3, 0] = np.nan
+        return z
+
+    monkeypatch.setattr(sde, "_chunk_normals", poisoned)
+    path, _ = make_config(tmp_path, **{
+        "lattice.dim": 1, "lattice.sites_per_dim": 3, "sde.n_paths": 4,
+        "sde.n_steps": 10, "sde.process": "reduced", "simulate.phi0": "sum_squares",
+    })
+    assert main(["simulate", str(path)]) == 1
+    header, row = read_rows(tmp_path / "out" / "simulate.csv")
+    assert float(row[header.index("abort_fraction")]) == 0.25
+    assert row[header.index("n_paths")] == "3"
+    assert row[header.index("status")] == "unreliable"
+
+
+def test_cmd_simulate_reduced_byte_identical_across_threads_and_chunks(tmp_path,
+                                                                      monkeypatch):
+    # one chunk, then one path per chunk on 1 and 2 threads, then a rerun
+    from gaugereduce import sde
+    _, cfg = make_config(tmp_path, **{
+        "lattice.dim": 2, "lattice.sites_per_dim": 3, "sde.n_paths": 6,
+        "sde.n_steps": 20, "sde.dt": 0.005, "sde.process": "reduced",
+        "simulate.phi0": "sum_squares",
+    })
+    out = tmp_path / "out" / "simulate.csv"
+    blobs = []
+    for cap, threads in ((None, "1"), (1, "1"), (1, "2"), (None, "2")):
+        if cap is not None:
+            monkeypatch.setattr(sde, "_REDUCED_CHUNK_BYTES", cap)
+        monkeypatch.setenv("GAUGE_REDUCE_THREADS", threads)
+        assert cmd_simulate(cfg) == 0
+        blobs.append(out.read_bytes())
+        monkeypatch.undo()
+    assert all(blob == blobs[0] for blob in blobs)
+
+
 @pytest.mark.parametrize("process", ["original", "reduced"])
 def test_cmd_simulate_non_finite_estimate_is_unreliable(tmp_path, monkeypatch,
                                                         process):
@@ -234,7 +279,10 @@ def test_cmd_compare_oracle_mehler(tmp_path):
 
 
 def test_cmd_compare_oracle_girsanov(tmp_path):
+    # the girsanov oracle runs on its fixed two-site chain; lattice keys are
+    # refused (see the test below), so this config leaves them out
     _, cfg = make_config(tmp_path, **{
+        "lattice.dim": None, "lattice.sites_per_dim": None,
         "sde.dt": 0.002, "sde.n_steps": 100, "sde.n_paths": 10000,
         "sde.seed": 17, "oracle.kind": "girsanov",
     })
@@ -242,6 +290,19 @@ def test_cmd_compare_oracle_girsanov(tmp_path):
     rows = read_rows(tmp_path / "out" / "compare_oracle.csv")
     assert rows[1][0] == "girsanov"
     assert rows[1][rows[0].index("verdict")] == "PASS"
+
+
+@pytest.mark.parametrize("key,value", [("lattice.dim", 1), ("lattice.sites_per_dim", 3),
+                                       ("lattice.spacing", 0.5)])
+def test_compare_oracle_girsanov_refuses_lattice_keys(tmp_path, key, value):
+    path, cfg = make_config(tmp_path, **{
+        "lattice.dim": None, "lattice.sites_per_dim": None, key: value,
+        "sde.n_steps": 2, "sde.n_paths": 10, "oracle.kind": "girsanov",
+    })
+    with pytest.raises(ConfigError, match=key):
+        cmd_compare_oracle(cfg)
+    assert main(["compare-oracle", str(path)]) == 2
+    assert not (tmp_path / "out" / "compare_oracle.csv").exists()
 
 
 def test_main_runs_check(tmp_path):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gaugereduce import orbit, sde
 from gaugereduce.gauge import AdaptedCoords, FieldPair, projector_N, transverse_projector
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift
 from gaugereduce.sde import (SDEConfig, _chunk_normals, euler_step_original,
                              euler_step_reduced, feynman_kac, girsanov_check,
-                             path_rng, sample_reduced_path,
-                             weak_convergence_estimates, wiener_increments,
-                             worker_count)
+                             path_rng, reduced_batch_diagnostics,
+                             sample_reduced_path, weak_convergence_estimates,
+                             wiener_increments, worker_count)
 
 
 def test_sde_config_validation():
@@ -234,6 +235,112 @@ def test_reduced_step_builds_one_geometry(monkeypatch):
     c0 = AdaptedCoords(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0, np.zeros(9))
     euler_step_reduced(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1), path_rng(1, 0))
     assert counts == {"orbit_metric": 1, "_gamma_contractions": 1, "projector_N": 1}
+
+
+def _uniform_start(lat):
+    V = lat.n_sites
+    return AdaptedCoords(np.zeros((lat.dim, V)), np.stack([np.ones(V), np.zeros(V)]),
+                         np.zeros(V))
+
+
+def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
+    # a raised floor makes some paths abort part way; the batched integrator
+    # aborts exactly the paths that single steps on path_rng(seed, i) abort,
+    # and the surviving endpoints are bitwise theirs
+    monkeypatch.setattr(sde, "SINGULARITY_FLOOR", 0.6)
+    lat = Lattice(1, 3)
+    c0 = _uniform_start(lat)
+    cfg = SDEConfig(1.0, 1.0, 0.03, 20, 24, 2)
+    abort, ends = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    paths = [sample_reduced_path(lat, c0, 0.8, cfg, path_rng(cfg.seed, i))
+             for i in range(cfg.n_paths)]
+    kept = [p.states[-1] for p in paths if p.aborted_at is None]
+    assert 0 < len(kept) < cfg.n_paths
+    assert abort == (cfg.n_paths - len(kept)) / cfg.n_paths
+    assert len(ends) == len(kept)
+    for end, ref in zip(ends, kept):
+        assert np.array_equal(end.A_star, ref.A_star)
+        assert np.array_equal(end.f_tilde, ref.f_tilde)
+
+
+def test_reduced_batch_aborts_non_positive_definite_metric():
+    # on the two-site chain D = g0^2 diag|f~|^2; with g0 = 1e-160 the entry
+    # for |f~|^2 = 1e-6 (above the floor) underflows to 0, that for 1 does not
+    lat = Lattice(1, 2)
+    g0 = 1e-160
+    f = np.zeros((3, 2, 2))
+    f[:, 0] = [[1.0, 1.0], [1.0, 1e-3], [1e-3, 1.0]]
+    with pytest.raises(SingularOrbitMetric) as info:
+        orbit.orbit_metric(lat, f, g0)
+    assert info.value.rows.tolist() == [1, 2]
+    c0 = AdaptedCoords(np.zeros((1, 2)), f[1], np.zeros(2))
+    abort, ends = reduced_batch_diagnostics(lat, c0, g0, SDEConfig(1.0, 1.0, 1e-3, 5, 3, 1))
+    assert abort == 1.0 and ends == []
+
+
+def test_reduced_batch_aborts_non_finite_states(monkeypatch):
+    # a NaN increment at step 5 of path 1 and at the last step of path 2
+    # makes their states non-finite: both abort, and the other paths finish
+    # exactly as without them
+    lat = Lattice(2, 3)
+    c0 = _uniform_start(lat)
+    cfg = SDEConfig(1.0, 1.0, 5e-3, 10, 4, 3)
+    clean_abort, clean = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    real = sde._chunk_normals
+
+    def poisoned(seed, lo, hi, n_steps, dim):
+        z = real(seed, lo, hi, n_steps, dim)
+        z[1, 5, 0] = z[2, n_steps - 1, -1] = np.nan
+        return z
+
+    monkeypatch.setattr(sde, "_chunk_normals", poisoned)
+    abort, ends = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    assert clean_abort == 0.0 and abort == 0.5
+    for end, i in zip(ends, (0, 3), strict=True):
+        assert np.array_equal(end.f_tilde, clean[i].f_tilde)
+        assert np.array_equal(end.A_star, clean[i].A_star)
+
+
+def test_reduced_endpoint_independent_of_n_paths():
+    # path i's endpoint is bitwise the same whatever the number of paths
+    # stacked with it
+    lat = Lattice(2, 3)
+    c0 = _uniform_start(lat)
+    runs = {}
+    for n_paths in (1, 3, 7):
+        abort, ends = reduced_batch_diagnostics(lat, c0, 0.8,
+                                                SDEConfig(1.0, 1.0, 5e-3, 30, n_paths, 13))
+        assert abort == 0.0
+        runs[n_paths] = ends
+    for i in range(7):
+        for n_paths in (1, 3):
+            if i < n_paths:
+                assert np.array_equal(runs[n_paths][i].f_tilde, runs[7][i].f_tilde)
+                assert np.array_equal(runs[n_paths][i].A_star, runs[7][i].A_star)
+
+
+def test_reduced_two_site_chain_grows_like_original_process():
+    # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
+    # cancels the orbit mean curvature j2 = f/(2|f|^2) exactly, so the
+    # drift-form reduced simulator is a free diffusion of f~ = f:
+    # E|f~|^2 = sum_x (|f0(x)|^2 + 2 mu^2 kappa T), the growth of the
+    # original process, not the 3 mu^2 kappa T per site of the drift
+    # f/(2|f|^2) alone (the girsanov oracle's drift).
+    lat = Lattice(1, 2)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        f = rng.standard_normal((2, 2)) + 1.0
+        geo = OrbitGeometry(lat, f, 0.8)
+        assert np.abs(geo.drift()[1]).max() <= 1e-14 * np.abs(geo.christoffel_drift()[1]).max()
+    mu, kappa = 1.3, 0.5
+    cfg = SDEConfig(mu, kappa, 0.01, 20, 10_000, 5)
+    abort, ends = reduced_batch_diagnostics(lat, _uniform_start(lat), 0.8, cfg)
+    assert abort == 0.0
+    r2 = np.array([np.sum(c.f_tilde ** 2) for c in ends])
+    mean, se = r2.mean(), r2.std(ddof=1) / math.sqrt(r2.size)
+    T = cfg.horizon
+    assert abs(mean - 2 * (1.0 + 2 * mu ** 2 * kappa * T)) <= 6 * se + cfg.dt
+    assert abs(mean - 2 * (1.0 + 3 * mu ** 2 * kappa * T)) > 6 * se + cfg.dt
 
 
 def test_sample_original_path_contract():
