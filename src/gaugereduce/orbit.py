@@ -42,7 +42,7 @@ applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
 done externally.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -67,13 +67,22 @@ class SingularOrbitMetric(Exception):
 
 @dataclass
 class OrbitMetric:
-    """Orbit metric D with Cholesky factor, inverse and log-determinant."""
+    """Orbit metric D, Cholesky factor and log-determinant; ``Dinv`` is built on
+    first read and kept, without cached_property's lock (class-wide before 3.12)."""
 
     D: np.ndarray
     chol: np.ndarray     # lower-triangular factor, D = chol @ chol.T
-    Dinv: np.ndarray
     logdet: float
     n_sites: int
+    _Dinv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def Dinv(self):
+        if self._Dinv is None:
+            chol_inv = np.linalg.inv(self.chol)
+            Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
+            self._Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
+        return self._Dinv
 
 
 @dataclass
@@ -114,32 +123,18 @@ class HorizontalMetric:
 
     def pseudoinverse_residual(self):
         """Max-abs residual of (pseudo-inverse) @ (metric) against
-        blockdiag(P_perp, I, I), gauge sector in the reduced basis."""
+        blockdiag(P_perp, I, I), gauge sector in the reduced basis.  Only the
+        eight nonzero blocks of the product are formed, from KB = g_fg B,
+        DB = B^T g_gg B, HAg = h_Ag B, Hag = h_ag B and Hgg = B^T h_gg B; its
+        FA block vanishes identically because h_Ab, g_Af and g_Ag do."""
         B = self.basis
-        sV, n2V, r = self.g_AA.shape[0], self.h_ab.shape[0], B.shape[1]
-        n = sV + n2V + r
-        iA = slice(0, sV)
-        iF = slice(sV, sV + n2V)
-        iG = slice(sV + n2V, n)
-        Gt = np.zeros((n, n))
-        Gt[iA, iA] = self.g_AA
-        Gt[iF, iF] = np.eye(n2V)
-        Gt[iF, iG] = self.g_fg @ B
-        Gt[iG, iF] = Gt[iF, iG].T
-        Gt[iG, iG] = B.T @ self.g_gg @ B
-        Gi = np.zeros((n, n))
-        Gi[iA, iA] = self.h_AB
-        Gi[iF, iF] = self.h_ab
-        Gi[iA, iG] = self.h_Ag @ B
-        Gi[iG, iA] = Gi[iA, iG].T
-        Gi[iF, iG] = self.h_ag @ B
-        Gi[iG, iF] = Gi[iF, iG].T
-        Gi[iG, iG] = B.T @ self.h_gg @ B
-        target = np.zeros((n, n))
-        target[iA, iA] = self.h_AB
-        target[iF, iF] = np.eye(n2V)
-        target[iG, iG] = np.eye(r)
-        return float(np.abs(Gi @ Gt - target).max())
+        KB, HAg, Hag = self.g_fg @ B, self.h_Ag @ B, self.h_ag @ B
+        DB, Hgg = B.T @ self.g_gg @ B, B.T @ self.h_gg @ B
+        I_f, I_g = np.eye(KB.shape[0]), np.eye(B.shape[1])
+        blocks = (self.h_AB @ self.g_AA - self.h_AB, HAg @ KB.T, HAg @ DB,        # AA AF AG
+                  self.h_ab + Hag @ KB.T - I_f, self.h_ab @ KB + Hag @ DB,         # FF FG
+                  HAg.T @ self.g_AA, Hag.T + Hgg @ KB.T, Hag.T @ KB + Hgg @ DB - I_g)  # GA GF GG
+        return float(max(np.abs(b).max(initial=0.0) for b in blocks))   # r = 0 at N = 2
 
 
 @dataclass
@@ -181,10 +176,7 @@ def orbit_metric(lat, f_tilde, g0):
         bad = [i for i, M in enumerate(D.reshape(-1, V, V)) if not _is_positive_definite(M)]
         raise SingularOrbitMetric("orbit metric not positive definite", rows=bad) from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    chol_inv = np.linalg.inv(chol)
-    Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
-    Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
-    return OrbitMetric(D, chol, Dinv, logdet, V)
+    return OrbitMetric(D, chol, logdet, V)
 
 
 def _scalar_metric_block(lat, f_tilde, g0):
@@ -242,8 +234,8 @@ class OrbitGeometry:
     stack of them, shape (..., 2, V); every piece then carries the same
     leading axes.
 
-    Construction factorizes the orbit metric (``metric``), so a degenerate
-    orbit raises :class:`SingularOrbitMetric` here.  The derived pieces --
+    Construction factorizes and inverts the orbit metric (``metric``), so a
+    degenerate orbit raises :class:`SingularOrbitMetric` here.  The pieces --
     N_f, h_ff, the connection blocks, sigma' (``grad_f``), the Gamma
     contraction and, only when read, sigma'' (``hess_ff``) -- are each built
     at most once per instance; the drifts, the Jacobian and the connection
@@ -255,6 +247,7 @@ class OrbitGeometry:
         self.f_tilde = lat.check_doublet(f_tilde, stacked=True)
         self.g0 = g0
         self.metric = orbit_metric(lat, self.f_tilde, g0)
+        self.metric.Dinv    # every piece reads it; built here, not under a property's lock
         self.jf = np.stack([self.f_tilde[..., 1, :], -self.f_tilde[..., 0, :]],
                            axis=-2)                                      # Jbar f~
         self.lead = self.f_tilde.shape[:-2]

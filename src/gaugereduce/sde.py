@@ -21,12 +21,13 @@ The reduced process lives on the Coulomb surface:
 with drifts from :mod:`.orbit` and the transverse projector re-applied after
 every step.  :func:`reduced_batch_diagnostics` integrates paths in chunks
 whose states are stacked along a leading axis, so each step builds one
-stacked :class:`~.orbit.OrbitGeometry` for all live paths of the chunk; the
-rows of a chunk are capped so its noise and per-path geometry stay within
-about _REDUCED_CHUNK_BYTES.  A path aborts, and is reported in the abort
-fraction, when a step would start from a non-finite state, from a minimum
-sitewise |f~|^2 below the singularity floor or from an orbit metric that is
-not positive definite, or when its final state is non-finite.
+stacked :class:`~.orbit.OrbitGeometry` for all live paths of the chunk.  A
+path aborts, and is reported in the abort fraction, when a step would start
+from a non-finite state, from a minimum sitewise |f~|^2 below the
+singularity floor or from an orbit metric that is not positive definite, or
+when its final state is non-finite.  Every chunked integrator caps a
+chunk's rows so its noise (and, for the reduced process, its per-path
+geometry) stays within about _CHUNK_BYTES.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
@@ -54,7 +55,7 @@ EXPONENT_GUARD = 700.0
 SINGULARITY_FLOOR = 1e-10
 ABORT_LIMIT = 0.01
 _CHUNK = 4096
-_REDUCED_CHUNK_BYTES = 32 * 2 ** 20
+_CHUNK_BYTES = 32 * 2 ** 20
 
 
 @dataclass
@@ -325,7 +326,7 @@ def feynman_kac(phi0, v, cfg, initial, drift=None, noise_scale=1.0):
         values[lo:hi] = p
         exponents[lo:hi] = e
 
-    _run_chunks(run, cfg.n_paths)
+    _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
     n_flagged = int(np.sum(np.abs(exponents) > EXPONENT_GUARD))
     if v is not None:
         weights = np.exp(np.clip(exponents, -EXPONENT_GUARD, EXPONENT_GUARD))
@@ -358,7 +359,7 @@ def girsanov_check(cfg, initial, drift_field, phi0, noise_scale=1.0):
         v2[lo:hi] = p2
         logd[lo:hi] = ld
 
-    _run_chunks(run, cfg.n_paths)
+    _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
     n_flagged = int(np.sum(np.abs(logd) > EXPONENT_GUARD))
     weights = np.exp(np.clip(logd, -EXPONENT_GUARD, EXPONENT_GUARD))
     est1 = _reduce_estimate(v1, 0, 0.0)
@@ -379,28 +380,32 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
     d = initial.size
     dts = sorted(dt_values)
     dt_min = dts[0]
-    factors = []
-    for dt in dts:
-        q = dt / dt_min
-        if abs(q - round(q)) > 1e-12:
-            raise ValueError("dt_values must be integer multiples of the smallest")
-        factors.append(int(round(q)))
+    factors = [round(dt / dt_min) for dt in dts]
+    if any(abs(dt / dt_min - fac) > 1e-12 for dt, fac in zip(dts, factors)):
+        raise ValueError("dt_values must be integer multiples of the smallest")
     n_fine = int(round(horizon / dt_min))
+    if n_fine // factors[-1] < 1:
+        raise ValueError("horizon must hold at least one step of the largest dt")
     values = {dt: np.empty(n_paths) for dt in dts}
 
     def run(lo, hi):
         z = _chunk_normals(seed, lo, hi, n_fine, d)
         for dt, fac in zip(dts, factors):
             n_steps = n_fine // fac
-            # coarse standard normals: sum fine ones, rescale to unit variance
-            zc = z[:, :n_steps * fac, :].reshape(z.shape[0], n_steps, fac, d)
-            zc = zc.sum(axis=2) / math.sqrt(fac)
+            # coarse standard normals: sum fine ones in order, rescale to unit variance;
+            # bitwise sum(axis=2) / sqrt(fac) except at d = 1, fac >= 8 (pairwise sum)
+            zc = z
+            if fac > 1:
+                zc = z[:, 0:n_steps * fac:fac].copy()
+                for k in range(1, fac):
+                    zc += z[:, k:n_steps * fac:fac]
+                zc /= math.sqrt(fac)
             cfg = SDEConfig(mu, kappa, dt, n_steps, n_paths, seed)
             p, _, _ = _integrate_chunk(cfg, initial, zc, drift, None, phi0,
                                        noise_scale)
             values[dt][lo:hi] = p
 
-    _run_chunks(run, n_paths)
+    _run_chunks(run, n_paths, 8 * n_fine * d)
     return {dt: _reduce_estimate(values[dt], 0, 0.0) for dt in dts}
 
 
@@ -458,16 +463,18 @@ def reduced_batch_diagnostics(lat, c0, g0, cfg):
         paths = lo + live[keep]
         ends_A[paths], ends_f[paths], done[paths] = A[keep], f[keep], True
 
-    # a chunk's noise (n_steps x d normals a path) and about 32 V x V arrays
-    # of per-path geometry fit in _REDUCED_CHUNK_BYTES
-    rows = _REDUCED_CHUNK_BYTES // (8 * (cfg.n_steps * d + 32 * V * V))
-    _run_chunks(run, cfg.n_paths, max(1, min(_CHUNK, rows)))
+    # a row holds a path's noise (n_steps x d normals) and about 32 V x V
+    # arrays of its geometry
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 32 * V * V))
     endpoints = [AdaptedCoords(unflat(ends_A[i], s, V), ends_f[i], c0.a.copy())
                  for i in np.flatnonzero(done)]
     return (cfg.n_paths - len(endpoints)) / cfg.n_paths, endpoints
 
 
-def _run_chunks(run, n_paths, rows=_CHUNK):
+def _run_chunks(run, n_paths, row_bytes):
+    """Call run(lo, hi) on worker_count() threads over chunks of the n_paths
+    rows, each at most _CHUNK rows and about _CHUNK_BYTES at row_bytes a row."""
+    rows = max(1, min(_CHUNK, _CHUNK_BYTES // row_bytes))
     spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     workers = worker_count()
     if workers == 1 or len(spans) == 1:

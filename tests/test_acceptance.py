@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -293,7 +294,7 @@ def test_criterion_12_determinism(tmp_path_factory=None):
         for threads in ("1", "4", "1", "4"):
             os.environ["GAUGE_REDUCE_THREADS"] = threads
             assert cmd_simulate(cfg) == 0
-            outputs.append((threads, open(os.path.join(base, "simulate.csv"), "rb").read()))
+            outputs.append((threads, Path(base, "simulate.csv").read_bytes()))
     finally:
         if old is None:
             os.environ.pop("GAUGE_REDUCE_THREADS", None)

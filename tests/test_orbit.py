@@ -16,7 +16,7 @@ from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform,
                                potential, projector_N, to_adapted,
                                transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
-from gaugereduce.orbit import (OrbitGeometry, SingularOrbitMetric,
+from gaugereduce.orbit import (HorizontalMetric, OrbitGeometry, SingularOrbitMetric,
                                effective_potential, horizontal_metric,
                                horizontal_project, orbit_metric,
                                reduced_drift, reduction_jacobian)
@@ -50,6 +50,19 @@ def test_orbit_metric_uniform_spectrum():
     G = lat.gradient_matrix()
     base = np.linalg.eigvalsh(G.T @ G)
     assert_allclose(np.linalg.eigvalsh(om.D), base + g0 ** 2 * c, atol=1e-10)
+
+
+def test_orbit_metric_inverts_only_when_read(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(1) or inv(M))
+    lat = Lattice(2, 3)
+    om = orbit_metric(lat, lat.random_doublet(np.random.default_rng(0)), 0.8)
+    assert om.logdet == pytest.approx(np.linalg.slogdet(om.D)[1], abs=1e-12)
+    assert len(calls) == 0
+    Dinv = om.Dinv
+    assert len(calls) == 1
+    assert om.Dinv is Dinv and len(calls) == 1
 
 
 def test_orbit_metric_inverse_and_logdet():
@@ -224,7 +237,36 @@ def test_horizontal_metric_zero_field():
     assert_allclose(hm.h_ab, np.eye(2 * lat.n_sites), atol=0)
 
 
-@pytest.mark.parametrize("s,n", [(2, 3), (2, 4), (1, 5)])
+def _dense_pseudoinverse_residual(hm):
+    """Oracle: assemble the full metric and pseudo-inverse (gauge sector in
+    the reduced basis) as dense matrices and compare their product with
+    blockdiag(h_AB, I, I)."""
+    B = hm.basis
+    sV, n2V, r = hm.g_AA.shape[0], hm.h_ab.shape[0], B.shape[1]
+    n = sV + n2V + r
+    iA, iF, iG = slice(0, sV), slice(sV, sV + n2V), slice(sV + n2V, n)
+    Gt = np.zeros((n, n))
+    Gt[iA, iA] = hm.g_AA
+    Gt[iF, iF] = np.eye(n2V)
+    Gt[iF, iG] = hm.g_fg @ B
+    Gt[iG, iF] = Gt[iF, iG].T
+    Gt[iG, iG] = B.T @ hm.g_gg @ B
+    Gi = np.zeros((n, n))
+    Gi[iA, iA] = hm.h_AB
+    Gi[iF, iF] = hm.h_ab
+    Gi[iA, iG] = hm.h_Ag @ B
+    Gi[iG, iA] = Gi[iA, iG].T
+    Gi[iF, iG] = hm.h_ag @ B
+    Gi[iG, iF] = Gi[iF, iG].T
+    Gi[iG, iG] = B.T @ hm.h_gg @ B
+    target = np.zeros((n, n))
+    target[iA, iA] = hm.h_AB
+    target[iF, iF] = np.eye(n2V)
+    target[iG, iG] = np.eye(r)
+    return float(np.abs(Gi @ Gt - target).max())
+
+
+@pytest.mark.parametrize("s,n", [(1, 2), (2, 2), (2, 3), (2, 4), (1, 5), (3, 4)])
 def test_pseudoinverse_identity(s, n):
     lat = Lattice(s, n)
     rng = np.random.default_rng(8)
@@ -232,7 +274,45 @@ def test_pseudoinverse_identity(s, n):
         p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
         c = to_adapted(lat, p)
         hm = horizontal_metric(lat, c, 0.8)
-        assert hm.pseudoinverse_residual() <= 1e-9
+        residual = hm.pseudoinverse_residual()
+        assert residual <= 1e-9
+        assert abs(residual - _dense_pseudoinverse_residual(hm)) <= 1e-13
+
+
+@pytest.mark.parametrize("block", ["g_AA", "h_AB", "g_fg", "g_gg", "h_ab",
+                                   "h_Ag", "h_ag", "h_gg"])
+def test_pseudoinverse_residual_sees_every_block(block):
+    # a 1e-6 error in any one stored block shows, and the dense oracle agrees
+    lat = Lattice(2, 3)
+    rng = np.random.default_rng(8)
+    p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+    hm = horizontal_metric(lat, to_adapted(lat, p), 0.8)
+    assert hm.pseudoinverse_residual() <= 1e-9
+    damaged = getattr(hm, block).copy()      # blocks may share cached operators
+    damaged[0, 0] += 1e-6
+    setattr(hm, block, damaged)
+    residual = hm.pseudoinverse_residual()
+    assert residual > 1e-7
+    assert abs(residual - _dense_pseudoinverse_residual(hm)) <= 1e-13
+
+
+@pytest.mark.parametrize("large", [("h_AB", "g_AA"), ("h_Ag", "g_fg"), ("h_Ag", "g_gg"),
+                                   ("h_ab",), ("h_ab", "g_fg"), ("h_Ag", "g_AA"),
+                                   ("h_gg", "g_fg"), ("h_gg", "g_gg")],
+                         ids=["AA", "AF", "AG", "FF", "FG", "GA", "GF", "GG"])
+def test_pseudoinverse_residual_is_the_dense_product_for_any_blocks(large):
+    # the skipped blocks are structurally zero, so the blockwise residual is
+    # the dense one for arbitrary block values; scaling up the factors of
+    # one product block makes that block carry the maximum
+    rng = np.random.default_rng(12)
+    sV, n2V, V, r = 4, 6, 3, 2
+    shapes = dict(g_AA=(sV, sV), g_fg=(n2V, V), g_gg=(V, V), h_AB=(sV, sV),
+                  h_ab=(n2V, n2V), h_Ag=(sV, V), h_ag=(n2V, V), h_gg=(V, V))
+    hm = HorizontalMetric(basis=rng.standard_normal((V, r)), **{
+        k: rng.standard_normal(shape) * (1e3 if k in large else 1e-3)
+        for k, shape in shapes.items()})
+    dense = _dense_pseudoinverse_residual(hm)
+    assert hm.pseudoinverse_residual() == pytest.approx(dense, rel=1e-12)
 
 
 def test_h_blocks_coulomb_simplifications():

@@ -219,7 +219,7 @@ def test_cmd_simulate_reduced_byte_identical_across_threads_and_chunks(tmp_path,
     blobs = []
     for cap, threads in ((None, "1"), (1, "1"), (1, "2"), (None, "2")):
         if cap is not None:
-            monkeypatch.setattr(sde, "_REDUCED_CHUNK_BYTES", cap)
+            monkeypatch.setattr(sde, "_CHUNK_BYTES", cap)
         monkeypatch.setenv("GAUGE_REDUCE_THREADS", threads)
         assert cmd_simulate(cfg) == 0
         blobs.append(out.read_bytes())

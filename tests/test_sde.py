@@ -476,10 +476,74 @@ def test_weak_convergence_common_noise_consistency():
     assert ests[1e-3].mean == direct.mean
 
 
+@pytest.mark.parametrize("d,dts", [(2, (0.004, 0.002, 0.001)),
+                                   (3, (0.008, 0.004, 0.002, 0.001)),
+                                   (1, (0.003, 0.001))])
+def test_weak_convergence_coarse_normals_sum_fine_ones(d, dts):
+    # reference: coarse normals as a literal sum over the fine ones
+    quad = lambda x: np.sum(x ** 2, axis=1)
+    drift = lambda x: -x
+    x0 = np.linspace(0.5, 1.0, d)
+    seed, n_paths, horizon = 7, 300, 0.2
+    ests = weak_convergence_estimates(quad, drift, x0, 1.0, 1.0, seed, n_paths,
+                                      list(dts), horizon)
+    n_fine = int(round(horizon / dts[-1]))
+    z = _chunk_normals(seed, 0, n_paths, n_fine, d)
+    for dt in dts:
+        fac = int(round(dt / dts[-1]))
+        n_steps = n_fine // fac
+        zc = z[:, :n_steps * fac].reshape(n_paths, n_steps, fac, d)
+        zc = zc.sum(axis=2) / math.sqrt(fac)
+        cfg = SDEConfig(1.0, 1.0, dt, n_steps, n_paths, seed)
+        values = sde._integrate_chunk(cfg, x0, zc, drift, None, quad, 1.0)[0]
+        ref = sde._reduce_estimate(values, 0, 0.0)
+        assert (ests[dt].mean, ests[dt].std_error) == (ref.mean, ref.std_error)
+
+
+def test_chunk_byte_cap_keeps_estimates(monkeypatch):
+    # one row a chunk, then three, against the default cap (one chunk)
+    d, n_steps = 3, 20
+    cfg = SDEConfig(1.0, 1.0, 0.01, n_steps, 50, 5)
+    x0 = np.array([0.3, -0.2, 0.5])
+    quad = lambda x: np.sum(x ** 2, axis=1)
+    v = lambda x: -0.5 * np.sum(x ** 2, axis=1)
+    drift = lambda x: -x
+    row_bytes = 8 * n_steps * d
+    chunks = []
+    run_chunks = sde._run_chunks
+
+    def recording(run, n_paths, size):
+        def wrapped(lo, hi):
+            chunks.append(hi - lo)
+            run(lo, hi)
+        run_chunks(wrapped, n_paths, size)
+
+    def estimates():
+        chunks.clear()
+        fk = feynman_kac(quad, v, cfg, x0, drift=drift)
+        e1, e2 = girsanov_check(cfg, x0, drift, quad)
+        wk = weak_convergence_estimates(quad, drift, x0, 1.0, 1.0, cfg.seed,
+                                        cfg.n_paths, [0.02, 0.01], cfg.horizon)
+        return [(e.mean, e.std_error, e.n_flagged, e.max_exponent)
+                for e in (fk, e1, e2, *wk.values())]
+
+    monkeypatch.setattr(sde, "_run_chunks", recording)
+    default = estimates()
+    assert chunks == [cfg.n_paths] * 3
+    for rows in (1, 3):
+        monkeypatch.setattr(sde, "_CHUNK_BYTES", rows * row_bytes + row_bytes - 1)
+        assert estimates() == default
+        assert max(chunks) == rows and sum(chunks) == 3 * cfg.n_paths
+
+
 def test_weak_convergence_rejects_bad_grid():
     with pytest.raises(ValueError):
         weak_convergence_estimates(lambda x: x[:, 0], None, np.array([0.0]),
                                    1.0, 1.0, 1, 10, [3e-3, 2e-3], 0.1)
+    for dts, horizon in (([3e-3], 1e-3), ([1e-3, 2e-3], 1e-3)):   # no step fits
+        with pytest.raises(ValueError):
+            weak_convergence_estimates(lambda x: x[:, 0], None, np.array([0.0]),
+                                       1.0, 1.0, 1, 10, dts, horizon)
 
 
 def test_estimator_thread_determinism(monkeypatch):
