@@ -1,12 +1,15 @@
 """Reduced dynamics tour: drifts, constraint preservation, Girsanov check.
 
 The reduced process moves on the Coulomb surface.  In this abelian model the
-potential sector keeps no geometric drift (the orbit-space curvature cancels
-the vertical part of the Christoffel contraction, and the orbit curvature
-enters only through the scalar sector), so A* diffuses transversally while
-f~ feels the mean-curvature drift j2 = (1/4) h sigma'.  The Girsanov check
-shows the central mechanism of the reduction: simulating with the drift is
-equivalent to reweighting the driftless process by the exponential density.
+potential sector has no geometric drift at all: the Christoffel
+contraction, the orbit-space curvature j1 and the orbit curvature j2 all
+vanish there identically.  So A* diffuses transversally, while f~ feels the
+closed-form drift g0^2 f~ (d/2 - diag W + w/2) built from the orbit Green
+function Dinv (d = diag Dinv, W = Dinv + Dinv diag(g0^2 |f~|^2) (-green),
+w(x) = sum_z W(x, z) Dinv(x, z) g0^2 |f~(z)|^2), whose orbit-curvature
+part j2 is sigma'/4.  The Girsanov check shows the central mechanism of
+the reduction: simulating with the drift is equivalent to reweighting the
+driftless process by the exponential density.
 """
 
 import math
@@ -14,7 +17,8 @@ import math
 import numpy as np
 
 from gaugereduce import (AdaptedCoords, Lattice, OrbitGeometry, SDEConfig,
-                         flat, girsanov_check, path_rng, sample_reduced_path)
+                         flat, girsanov_check, path_rng, reduced_drift,
+                         sample_reduced_path)
 
 rng = np.random.default_rng(3)
 
@@ -23,14 +27,12 @@ lat = Lattice(2, 4)
 g0 = 0.8
 f = lat.random_doublet(rng)
 geo = OrbitGeometry(lat, f, g0)
-dA, df = geo.christoffel_drift()
-j1A, j1f, j2A, j2f = geo.mean_curvature_terms()
-tA, tf = geo.drift()
-print(f"|christoffel drift|  A-sector {np.abs(dA).max():.3e}   f-sector {np.abs(df).max():.3e}")
-print(f"|orbit-space term|   A-sector {np.abs(j1A).max():.3e}   f-sector {np.abs(j1f).max():.3e}")
-print(f"|orbit curvature|    A-sector {np.abs(j2A).max():.3e}   f-sector {np.abs(j2f).max():.3e}")
-print(f"total drift          A-sector {np.abs(tA).max():.3e}   f-sector {np.abs(tf).max():.3e}")
-print("(the A-sector contributions cancel exactly)")
+df = geo.drift()
+dA, _ = reduced_drift(lat, AdaptedCoords(np.zeros((2, 16)), f, np.zeros(16)), g0)
+print(f"orbit curvature sigma'/4          f-sector {np.abs(geo.grad_f / 4).max():.3e}")
+print(f"Christoffel part drift - sigma'/4 f-sector {np.abs(df - geo.grad_f / 4).max():.3e}")
+print(f"total drift                       f-sector {np.abs(df).max():.3e}   "
+      f"A-sector {np.abs(dA).max():.1f} (identically zero)")
 
 print("\n=== constraint preservation along a path ===")
 f0 = np.stack([np.ones(16), 0.5 * np.ones(16)])
@@ -51,10 +53,14 @@ def drift(x):
     r2 = v1 ** 2 + v2 ** 2
     return pref * np.concatenate([v1 / (2 * r2), v2 / (2 * r2)], axis=1)
 
-# the closed form above is the module's orbit-curvature drift
+# the closed form above is the module's orbit-curvature drift sigma'/4; on
+# N = 2 the Christoffel part cancels it, so the total drift is zero
 ftest = rng.standard_normal((2, 2)) + 1.5
-_, _, _, j2 = OrbitGeometry(lat2, ftest, g0).mean_curvature_terms()
-print(f"vectorized drift vs geometry module: {np.abs(drift(flat(ftest)[None])[0] - pref * flat(j2)).max():.2e}")
+geo2 = OrbitGeometry(lat2, ftest, g0)
+j2 = geo2.grad_f / 4
+print(f"vectorized drift vs sigma'/4 of the geometry module: "
+      f"{np.abs(drift(flat(ftest)[None])[0] - pref * flat(j2)).max():.2e}")
+print(f"total two-site drift: {np.abs(geo2.drift()).max():.2e}")
 
 cfg2 = SDEConfig(mu, kappa, 1e-3, 250, 40_000, 99)
 x0 = flat(np.stack([np.ones(2), np.zeros(2)]))

@@ -54,7 +54,7 @@ class LatticeSpec:
 
 
 class Lattice:
-    """Periodic lattice with site indexing, neighbour tables and calculus.
+    """Periodic lattice with neighbour tables and calculus.
 
     Parameters
     ----------
@@ -85,15 +85,6 @@ class Lattice:
     # ------------------------------------------------------------------
     # site bookkeeping
     # ------------------------------------------------------------------
-    def site_index(self, coords):
-        """Map an s-tuple of periodic coordinates to the site id."""
-        coords = np.mod(np.asarray(coords, dtype=int), self.spec.sites_per_dim)
-        return int(np.ravel_multi_index(tuple(coords), self.shape))
-
-    def site_coords(self, index):
-        """Inverse of :meth:`site_index`."""
-        return tuple(int(c) for c in np.unravel_index(index, self.shape))
-
     @property
     def neighbor_table(self):
         """Array of shape (V, s, 2): forward / backward neighbour ids."""

@@ -1,4 +1,4 @@
-"""Orbit geometry: orbit metric, connection, curvature drifts, reduction Jacobian.
+"""Orbit geometry: orbit metric, connection, reduced drift, reduction Jacobian.
 
 Everything here is driven by the metric on a gauge orbit, assembled from the
 generators of the group action,
@@ -19,18 +19,30 @@ construction.  The orbit volume enters through
     sigma_ab(x, y)  = 2 g0^2 d_ab d_xy Dinv(x, x) - 4 g0^4 f~^a(x) f~^b(y) Dinv(x, y)^2,
 
 closed forms that follow from d(log det D) = tr(Dinv dD) and
-d(Dinv) = -Dinv (dD) Dinv.  The drift pieces of the reduced dynamics are
-finite contractions of the connection, its f~-derivatives and the scalar
-Killing block (see :meth:`OrbitGeometry.christoffel_drift` and
-:meth:`OrbitGeometry.mean_curvature_terms`), and combine into the reduction
-Jacobian
+d(Dinv) = -Dinv (dD) Dinv.  The reduced drift -1/2 h^{BM} Gamma_{BM} + j1 + j2
+(Christoffel part, orbit-space mean curvature j1 and orbit mean curvature
+j2 = 1/4 h sigma') and the reduction Jacobian
 
-    J = -(1/8) mu^2 kappa * (laplace_term + grad_term / 4)
+    J = -(1/8) mu^2 kappa * (laplace_term + grad_term / 4),
+    laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a,   grad_term = h^ab sigma_a sigma_b,
 
-with laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a and
-grad_term = h^ab sigma_a sigma_b.  The potential-sector contributions
-(capital indices) vanish identically because D does not depend on the
-potential, so only the collapsed scalar-sector form is computed.
+contract these with the horizontal metric h = blockdiag(P, I + N_f N_f^T).
+Two sitewise facts collapse every contraction to a closed form in Dinv:
+with u = g0 Jbar f~, f~ . u = 0 at each site, and P kills gradients.  So
+the potential-sector drift (its Christoffel part, j1 and j2) is
+identically zero, j1 vanishes in the scalar sector too, j2 = sigma'/4 and
+grad_term = |sigma'|^2.  With d = diag(Dinv), G = -green and one V^3 product
+
+    W = Dinv + Dinv diag(|u|^2) G,      w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2,
+
+the scalar drift and the Laplace term are
+
+    drift_f      = g0^2 f~ (d/2 - diag W + w/2),
+    laplace_term = sum_x [4 g0^2 d - 4 g0^2 |u|^2 d^2 + 2 g0^2 |u|^2 G(x,x) d]
+                   - sum_x 2 g0^2 |u|^2 (2 diag W - w) d.
+
+The potential-sector slots of sigma' and sigma'' vanish because D does not
+depend on the potential.
 :class:`OrbitGeometry` holds all of these pieces for one state, or for a
 stack of states: every function taking f~ accepts shape (..., 2, V) and
 returns its results with the same leading axes, one Cholesky factor and one
@@ -48,9 +60,8 @@ from functools import cached_property
 import numpy as np
 
 from .gauge import (faddeev_popov, from_adapted, green_divergence,
-                    killing_doublet_matrix, potential, projector_N,
-                    transverse_projector)
-from .lattice import matvec, unflat
+                    killing_doublet_matrix, potential, transverse_projector)
+from .lattice import unflat
 
 
 class SingularOrbitMetric(Exception):
@@ -179,23 +190,6 @@ def orbit_metric(lat, f_tilde, g0):
     return OrbitMetric(D, chol, logdet, V)
 
 
-def _scalar_metric_block(lat, f_tilde, g0):
-    """h_ff = I + N_f N_f^T for f~ of shape (..., 2, V).
-
-    N_f = -K_f green div, and (green div)(green div)^T = -green, so
-    h_ff((a,x), (b,y)) = d_ab d_xy - g0^2 (Jbar f~)^a(x) (Jbar f~)^b(y) green(x, y),
-    built without the (2V x sV) factors; it is exactly symmetric.
-    """
-    V = lat.n_sites
-    u = g0 * np.stack([f_tilde[..., 1, :], -f_tilde[..., 0, :]], axis=-2).reshape(
-        f_tilde.shape[:-2] + (2 * V,))
-    neg_green = np.tile(-faddeev_popov(lat).green, (2, 2))
-    h = u[..., :, None] * u[..., None, :] * neg_green
-    diag = np.arange(2 * V)
-    h[..., diag, diag] += 1.0
-    return h
-
-
 def horizontal_project(lat, conn, f_tilde, g0, vA, vf):
     """Orthogonal projection of a tangent pair onto the horizontal subspace,
     v - K(A(v)); the connection annihilates the result."""
@@ -216,12 +210,16 @@ def horizontal_metric(lat, c, g0):
     P = transverse_projector(lat)
     Kf = killing_doublet_matrix(lat, f_tilde, g0)
     D = -lat.fp_matrix() + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
+    # h_ab = I + N_f N_f^T with N_f = -K_f green div and (green div)(green div)^T
+    # = -green: I - u u^T o green for u = g0 Jbar f~, exactly symmetric
+    u = g0 * np.concatenate([f_tilde[1], -f_tilde[0]])
+    h_ab = np.eye(2 * lat.n_sites) + u[:, None] * u[None, :] * np.tile(-fp.green, (2, 2))
     return HorizontalMetric(
         g_AA=P,
         g_fg=Kf,
         g_gg=D,
         h_AB=P,
-        h_ab=_scalar_metric_block(lat, f_tilde, g0),
+        h_ab=h_ab,
         h_Ag=P @ green_divergence(lat).T,
         h_ag=Kf @ fp.green,
         h_gg=-fp.green,
@@ -236,10 +234,10 @@ class OrbitGeometry:
 
     Construction factorizes and inverts the orbit metric (``metric``), so a
     degenerate orbit raises :class:`SingularOrbitMetric` here.  The pieces --
-    N_f, h_ff, the connection blocks, sigma' (``grad_f``), the Gamma
-    contraction and, only when read, sigma'' (``hess_ff``) -- are each built
-    at most once per instance; the drifts, the Jacobian and the connection
-    are reads of them.
+    sigma' (``grad_f``), the Green-function terms diag W and w of the drift
+    and the Jacobian, the connection blocks and, only when read, sigma''
+    (``hess_ff``) -- are each built at most once per instance; the drift,
+    the Jacobian and the connection are reads of them.
     """
 
     def __init__(self, lat, f_tilde, g0):
@@ -250,21 +248,8 @@ class OrbitGeometry:
         self.metric.Dinv    # every piece reads it; built here, not under a property's lock
         self.jf = np.stack([self.f_tilde[..., 1, :], -self.f_tilde[..., 0, :]],
                            axis=-2)                                      # Jbar f~
+        self.u2 = g0 ** 2 * (self.f_tilde[..., 0, :] ** 2 + self.f_tilde[..., 1, :] ** 2)  # |u|^2
         self.lead = self.f_tilde.shape[:-2]
-
-    def _fields(self, vec, components):
-        """Unflatten (..., components * V) to (..., components, V)."""
-        return vec.reshape(self.lead + (components, self.lat.n_sites))
-
-    @cached_property
-    def N_f(self):
-        """Scalar-sector projection block (..., 2V, sV), see :func:`projector_N`."""
-        return projector_N(self.lat, self.f_tilde, self.g0)[1]
-
-    @cached_property
-    def h_ff(self):
-        """Scalar-scalar block I + N_f N_f^T of the horizontal metric."""
-        return _scalar_metric_block(self.lat, self.f_tilde, self.g0)
 
     @cached_property
     def A_gauge(self):
@@ -300,105 +285,51 @@ class OrbitGeometry:
         return 0.5 * (hess + np.swapaxes(hess, -2, -1))
 
     @cached_property
-    def gamma(self):
-        """(g_A, g_f) from :func:`_gamma_contractions`."""
-        return _gamma_contractions(self)
+    def _green_terms(self):
+        """(diag W, w) with W = Dinv + Dinv diag(|u|^2) G, G = -green, and
+        w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2: one V^3 product per state,
+        and W itself is not kept."""
+        Dinv, u2 = self.metric.Dinv, self.u2
+        W = Dinv - Dinv @ (u2[..., :, None] * faddeev_popov(self.lat).green)
+        return (np.diagonal(W, axis1=-2, axis2=-1).copy(),
+                np.sum(W * Dinv * u2[..., None, :], axis=-1))
 
     def connection(self):
         """Mechanical connection blocks from the orbit Green function."""
         return MechanicalConnection(self.A_gauge, self.A_scalar)
 
-    def christoffel_drift(self):
-        """Drift contribution -1/2 h^{BM} Gamma^{.}_{BM} of the reduced dynamics.
-
-        Returns (drift_A, drift_f) as (..., s, V) and (..., 2, V) fields.
-        Both vanish for f~ -> 0 at fixed orbit Green function; the
-        potential-sector part is a pure gradient and is cancelled by the
-        orbit-space mean curvature.
-        """
-        g_A, g_f = self.gamma
-        return -0.5 * g_A, -0.5 * g_f
-
-    def mean_curvature_terms(self):
-        """Mean-curvature drifts: orbit space (j1) and orbit (j2).
-
-        j1 subtracts the vertical part of the Christoffel contraction (the
-        potential blocks of N do not depend on the fields, so their
-        derivative terms drop); j2 = 1/4 h . sigma' with the potential-sector
-        slot of sigma' identically zero.
-        """
-        lat = self.lat
-        s, V = lat.dim, lat.n_sites
-        P = transverse_projector(lat)
-        gA = self.gamma[0].reshape(self.lead + (s * V,))
-        sf = self.grad_f.reshape(self.lead + (2 * V,))
-        N_f = self.N_f
-        j1_A = self._fields(0.5 * (gA - matvec(P, gA)), s)
-        j1_f = self._fields(-0.5 * matvec(N_f, gA), 2)
-        j2_A = self._fields(0.25 * matvec(P, matvec(np.swapaxes(N_f, -2, -1), sf)), s)
-        j2_f = self._fields(0.25 * matvec(self.h_ff, sf), 2)
-        return j1_A, j1_f, j2_A, j2_f
-
     def drift(self):
-        """Total geometric drift (-1/2 h Gamma + j1 + j2) of the reduced
-        dynamics, before the mu^2 kappa prefactor.  Returns
-        ((..., s, V), (..., 2, V))."""
-        dA, df = self.christoffel_drift()
-        j1_A, j1_f, j2_A, j2_f = self.mean_curvature_terms()
-        return dA + j1_A + j2_A, df + j1_f + j2_f
+        """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced
+        dynamics, g0^2 f~ (d/2 - diag W + w/2), before the mu^2 kappa
+        prefactor; shape (..., 2, V).  The potential-sector drift is
+        identically zero."""
+        d = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        diag_W, w = self._green_terms
+        return self.g0 ** 2 * self.f_tilde * (0.5 * d - diag_W + 0.5 * w)[..., None, :]
 
     def jacobian(self, mu, kappa, m=1.0):
         """Exponential part of the reduction Jacobian and the potential
         correction, scalar sector only (the potential-sector slots of sigma'
         and sigma'' are identically zero).  Fields are floats for one state
         and arrays over the leading axes for a stack."""
-        V = self.lat.n_sites
-        sf = self.grad_f.reshape(self.lead + (2 * V,))
-        g_f = self.gamma[1].reshape(self.lead + (2 * V,))
-        laplace_term = np.sum(self.h_ff * self.hess_ff, axis=(-2, -1)) - np.sum(g_f * sf, axis=-1)
-        grad_term = np.sum(sf * matvec(self.h_ff, sf), axis=-1)
+        u2 = self.u2
+        d = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        G_xx = -np.diagonal(faddeev_popov(self.lat).green)
+        diag_W, w = self._green_terms
+        hess_term = np.sum(2.0 * d * (2.0 - 2.0 * u2 * d + u2 * G_xx), axis=-1)  # h^ab sigma_ab
+        gamma_term = np.sum(2.0 * u2 * d * (2.0 * diag_W - w), axis=-1)     # (h Gamma)^a sigma_a
+        laplace_term = self.g0 ** 2 * (hess_term - gamma_term)
+        grad_term = np.sum(self.grad_f ** 2, axis=(-2, -1))
         J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
         return JacobianReport(laplace_term, grad_term, J, J / m,
                               self.metric.logdet, self.lat.n_sites)
 
 
-def _gamma_contractions(geo):
-    """h^{BM} Gamma^{.}_{BM} contractions of the horizontal-metric Christoffel
-    table for an :class:`OrbitGeometry`; returns (g_A, g_f) as fields
-    ((..., s, V) and (..., 2, V)).
-
-    Only the potential-potential and scalar-scalar blocks of h contribute
-    (the mixed block vanishes identically for the Coulomb condition).  The
-    scalar-sector result combines the f~-derivative of the connection, the
-    f~-derivative of the scalar Killing block, and the orbit curvature of
-    the scalar connection block; the potential-sector result is the pure
-    gradient -grad(S) with S the h-traced connection derivative.
-
-    Two terms of the general contraction vanish identically and are not
-    formed: the curvature diagonal of the gauge block,
-    diag(A_gauge P A_gauge^T) = diag(Dinv grad^T P grad Dinv), is zero
-    because P kills gradients; and the derivative of Jbar in A_scalar
-    contributes h^{(0x)(1x)} - h^{(1x)(0x)}, zero because h_ff is symmetric.
-    """
-    lat, f_tilde, jf, g0 = geo.lat, geo.f_tilde, geo.jf, geo.g0
-    V = lat.n_sites
-    A_s = geo.A_scalar
-    AsH = A_s @ geo.h_ff                                             # (..., V, 2V)
-    # TT[c, x] = (A_scalar h)(x, (c, x)) = g0 sum_{a,y} h^{(a,y)(c,x)} Dinv(x,y) (Jbar f~)^a(y)
-    TT = np.diagonal(AsH.reshape(geo.lead + (V, 2, V)), axis1=-3, axis2=-1)
-    # S(x) = sum_{pq} h^{pq} dA_scalar^x_p / df~^q = -2 g0^2 (Dinv sum_c f~^c TT[c])(x)
-    S = matvec(geo.metric.Dinv, -2.0 * g0 ** 2 * np.sum(f_tilde * TT, axis=-2))
-    diag_WF = np.sum(AsH * A_s, axis=-1)
-    t2 = 2.0 * g0 * np.stack([-TT[..., 1, :], TT[..., 0, :]], axis=-2)
-    g_f = -g0 ** 2 * f_tilde * diag_WF[..., None, :] + t2 - g0 * jf * S[..., None, :]
-    g_A = geo._fields(-matvec(lat.gradient_matrix(), S), lat.dim)
-    return g_A, g_f
-
-
 def reduced_drift(lat, c, g0):
-    """Total geometric drift of the reduced dynamics at c, see
+    """Geometric drift of the reduced dynamics at c as (drift_A, drift_f):
+    drift_A is an exact zero (s, V) field and drift_f is
     :meth:`OrbitGeometry.drift`."""
-    return OrbitGeometry(lat, c.f_tilde, g0).drift()
+    return np.zeros((lat.dim, lat.n_sites)), OrbitGeometry(lat, c.f_tilde, g0).drift()
 
 
 def reduction_jacobian(lat, c, g0, mu, kappa, m=1.0):

@@ -15,12 +15,15 @@ paths are counted rather than silently discarded.
 
 The reduced process lives on the Coulomb surface:
 
-    dA* = mu^2 kappa drift_A dt + mu sqrt(kappa) P dw_A,
+    dA* = mu sqrt(kappa) P dw_A,
     df~ = mu^2 kappa drift_f dt + mu sqrt(kappa) (N_f dw_A + dw_f),
 
-with drifts from :mod:`.orbit` and the transverse projector re-applied after
-every step.  :func:`reduced_batch_diagnostics` integrates paths in chunks
-whose states are stacked along a leading axis, so each step builds one
+with the closed-form scalar drift of :meth:`.orbit.OrbitGeometry.drift`; the
+potential-sector drift is identically zero.  N_f dw_A is the sitewise
+product -g0 Jbar f~ (green div dw_A), and the transverse projector is
+applied to A* + mu sqrt(kappa) dw_A, which re-projects onto div(A*) = 0
+after every step.  :func:`reduced_batch_diagnostics` integrates paths in
+chunks whose states are stacked along a leading axis, so each step builds one
 stacked :class:`~.orbit.OrbitGeometry` for all live paths of the chunk.  A
 path aborts, and is reported in the abort fraction, when a step would start
 from a non-finite state, from a minimum sitewise |f~|^2 below the
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import FieldPair, AdaptedCoords, transverse_projector
+from .gauge import FieldPair, AdaptedCoords, green_divergence, transverse_projector
 from .lattice import flat, matvec, unflat
 from .orbit import OrbitGeometry, SingularOrbitMetric
 
@@ -158,27 +161,26 @@ def _steppable(A, f):
 def _reduced_increment(lat, geo, A, cfg, dw):
     """Euler update of the states of ``geo`` (and potentials A, (..., sV))
     with Wiener increments dw, (..., sV + 2V); returns the new (A, f~) as
-    (..., sV) and (..., 2, V).  The constraint div(A*) = 0 is enforced by the
-    transverse projector after the step."""
-    drift_A, drift_f = geo.drift()
-    P = transverse_projector(lat)
+    (..., sV) and (..., 2, V).  A* has no drift, so one projector
+    application gives both the noise P dw_A and the re-projection onto
+    div(A*) = 0; N_f dw_A is applied sitewise as -g0 Jbar f~ (green div dw_A)."""
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (lat.dim / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
     nA = lat.dim * lat.n_sites
     dwA, dwf = dw[..., :nA], dw[..., nA:]
-    A_new = A + pref * drift_A.reshape(A.shape) + noise * matvec(P, dwA)
-    f_new = geo.f_tilde + pref * drift_f + noise * (matvec(geo.N_f, dwA) + dwf).reshape(
-        drift_f.shape)
-    return matvec(P, A_new), f_new
+    NdwA = -geo.g0 * geo.jf * matvec(green_divergence(lat), dwA)[..., None, :]
+    f_new = geo.f_tilde + pref * geo.drift() + noise * (NdwA + dwf.reshape(NdwA.shape))
+    return matvec(transverse_projector(lat), A + noise * dwA), f_new
 
 
 def euler_step_reduced(lat, c, g0, cfg, rng):
     """One Euler step of the reduced dynamics on the Coulomb surface.
 
-    One :class:`OrbitGeometry` supplies both the drift and the noise block
-    N_f.  A non-finite state or one with min |f~|^2 below the singularity
-    floor raises :class:`SingularOrbitMetric`, as does a metric that is not
-    positive definite.
+    One :class:`OrbitGeometry` supplies both the drift and the sitewise
+    noise factor -g0 Jbar f~ of N_f.  A non-finite state or one with
+    min |f~|^2 below the singularity floor raises
+    :class:`SingularOrbitMetric`, as does a metric that is not positive
+    definite.
     """
     A = flat(c.A_star)
     if not _steppable(A, c.f_tilde):
@@ -463,9 +465,11 @@ def reduced_batch_diagnostics(lat, c0, g0, cfg):
         paths = lo + live[keep]
         ends_A[paths], ends_f[paths], done[paths] = A[keep], f[keep], True
 
-    # a row holds a path's noise (n_steps x d normals) and about 32 V x V
-    # arrays of its geometry
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 32 * V * V))
+    # a row holds a path's noise (n_steps x d normals) and at most 8 V x V
+    # arrays: the previous step's D, chol and Dinv, still referenced while
+    # the next geometry is built, plus its D, chol and three temporaries of
+    # the inverse (W and w take at most three beside D, chol and Dinv)
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 8 * V * V))
     endpoints = [AdaptedCoords(unflat(ends_A[i], s, V), ends_f[i], c0.a.copy())
                  for i in np.flatnonzero(done)]
     return (cfg.n_paths - len(endpoints)) / cfg.n_paths, endpoints

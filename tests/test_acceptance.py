@@ -232,11 +232,12 @@ def test_criterion_10_girsanov_consistency():
         r2 = v1 ** 2 + v2 ** 2
         return pref * np.concatenate([v1 / (2 * r2), v2 / (2 * r2)], axis=1)
 
-    # the vectorized drift is the orbit mean-curvature term of the module
+    # the vectorized drift is the orbit mean-curvature term of the module,
+    # j2_f = sigma'/4
     rng = np.random.default_rng(110)
     for _ in range(5):
         f = rng.standard_normal((2, 2)) + 1.5
-        _, _, _, j2_f = OrbitGeometry(lat, f, g0).mean_curvature_terms()
+        j2_f = OrbitGeometry(lat, f, g0).grad_f / 4
         assert np.abs(drift(flat(f)[None, :])[0] - pref * flat(j2_f)).max() <= 1e-12
 
     cfg = SDEConfig(mu, kappa, 1e-3, 250, 100_000, 11_000)
@@ -273,14 +274,9 @@ def test_criterion_11_weak_convergence():
             time.time() - t0, 180.0)
 
 
-def test_criterion_12_determinism(tmp_path_factory=None):
+def test_criterion_12_determinism(tmp_path):
     t0 = time.time()
-    if tmp_path_factory is not None:
-        base = tmp_path_factory.mktemp("determinism")
-    else:
-        import tempfile
-        base = tempfile.mkdtemp(prefix="gaugereduce-acc12-")
-    base = str(base)
+    base = str(tmp_path)
     text = "\n".join([
         "lattice.dim = 1", "lattice.sites_per_dim = 2",
         "sde.n_paths = 10000", "sde.n_steps = 100", "sde.seed = 2024",
@@ -307,13 +303,19 @@ def test_criterion_12_determinism(tmp_path_factory=None):
 
 
 if __name__ == "__main__":
+    import tempfile
+
+    def test_criterion_12_in_temp_dir():
+        with tempfile.TemporaryDirectory() as tmp:
+            test_criterion_12_determinism(tmp)
+
     failures = 0
     for fn in [test_criterion_01_gauge_invariance, test_criterion_02_projector_suite,
                test_criterion_03_fp_inverse, test_criterion_04_adapted_round_trip,
                test_criterion_05_sigma_derivatives, test_criterion_06_pseudoinverse_identity,
                test_criterion_07_connection, test_criterion_08_jacobian_oracle,
                test_criterion_09_feynman_kac_vs_pde, test_criterion_10_girsanov_consistency,
-               test_criterion_11_weak_convergence, test_criterion_12_determinism]:
+               test_criterion_11_weak_convergence, test_criterion_12_in_temp_dir]:
         try:
             fn()
         except AssertionError as exc:

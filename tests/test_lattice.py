@@ -19,14 +19,6 @@ def test_spec_validation():
     assert LatticeSpec(2, 4).n_sites == 16
 
 
-def test_site_index_roundtrip():
-    lat = Lattice(2, 4)
-    for i in range(lat.n_sites):
-        assert lat.site_index(lat.site_coords(i)) == i
-    # periodic wrap
-    assert lat.site_index((4, 4)) == lat.site_index((0, 0))
-
-
 def test_neighbor_table_involution():
     for s, n in [(1, 4), (2, 3), (3, 2)]:
         lat = Lattice(s, n)

@@ -203,8 +203,8 @@ def test_reduced_noise_block_structure():
 
 
 def test_reduced_step_builds_one_geometry(monkeypatch):
-    # one Euler step factorizes the orbit metric, contracts Gamma and builds
-    # N_f once each, and never builds the sigma Hessian
+    # one Euler step factorizes the orbit metric once, applies N_f sitewise
+    # without building it, and never builds the sigma Hessian
     from gaugereduce import gauge, orbit
     namespaces = [m for name, m in sys.modules.items()
                   if name == "gaugereduce" or name.startswith("gaugereduce.")]
@@ -216,8 +216,7 @@ def test_reduced_step_builds_one_geometry(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in [(orbit, "orbit_metric"), (orbit, "_gamma_contractions"),
-                         (gauge, "projector_N")]:
+    for module, name in [(orbit, "orbit_metric"), (gauge, "projector_N")]:
         fn = getattr(module, name)
         counts[name] = 0
         wrapper = counted(name, fn)
@@ -234,7 +233,7 @@ def test_reduced_step_builds_one_geometry(monkeypatch):
     rng = np.random.default_rng(5)
     c0 = AdaptedCoords(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0, np.zeros(9))
     euler_step_reduced(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1), path_rng(1, 0))
-    assert counts == {"orbit_metric": 1, "_gamma_contractions": 1, "projector_N": 1}
+    assert counts == {"orbit_metric": 1, "projector_N": 0}
 
 
 def _uniform_start(lat):
@@ -321,7 +320,7 @@ def test_reduced_endpoint_independent_of_n_paths():
 
 def test_reduced_two_site_chain_grows_like_original_process():
     # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
-    # cancels the orbit mean curvature j2 = f/(2|f|^2) exactly, so the
+    # cancels the orbit mean curvature j2 = sigma'/4 = f/(2|f|^2) exactly, so the
     # drift-form reduced simulator is a free diffusion of f~ = f:
     # E|f~|^2 = sum_x (|f0(x)|^2 + 2 mu^2 kappa T), the growth of the
     # original process, not the 3 mu^2 kappa T per site of the drift
@@ -331,7 +330,7 @@ def test_reduced_two_site_chain_grows_like_original_process():
     for _ in range(3):
         f = rng.standard_normal((2, 2)) + 1.0
         geo = OrbitGeometry(lat, f, 0.8)
-        assert np.abs(geo.drift()[1]).max() <= 1e-14 * np.abs(geo.christoffel_drift()[1]).max()
+        assert np.abs(geo.drift()).max() <= 1e-14 * np.abs(geo.grad_f / 4).max()
     mu, kappa = 1.3, 0.5
     cfg = SDEConfig(mu, kappa, 0.01, 20, 10_000, 5)
     abort, ends = reduced_batch_diagnostics(lat, _uniform_start(lat), 0.8, cfg)
@@ -456,7 +455,7 @@ def test_girsanov_orbit_curvature_drift_two_site():
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = rng.standard_normal((2, 2)) + 1.5
-        _, _, _, j2_f = OrbitGeometry(lat, f, g0).mean_curvature_terms()
+        j2_f = OrbitGeometry(lat, f, g0).grad_f / 4
         assert_allclose(drift(flat(f)[None, :])[0], pref * flat(j2_f), atol=1e-12)
 
     cfg = SDEConfig(mu, kappa, 1e-3, 100, 20_000, 8)
