@@ -21,11 +21,9 @@ from .orbit import (HorizontalMetric, JacobianReport, MechanicalConnection,
                     effective_potential, horizontal_metric, horizontal_project,
                     orbit_metric, reduced_drift, reduction_jacobian)
 from .sde import (EXPONENT_GUARD, SINGULARITY_FLOOR, FKEstimate, SDEConfig,
-                  SDEPath, euler_step_original, euler_step_reduced,
                   feynman_kac, girsanov_check, path_rng,
-                  reduced_batch_diagnostics, sample_original_path,
-                  sample_reduced_path, weak_convergence_estimates,
-                  wiener_increments, worker_count)
+                  reduced_batch_diagnostics, weak_convergence_estimates,
+                  worker_count)
 from .kolmogorov import (GridPDE, Verdict, build_generator, compare,
                          discretization_budget, evolve, heat_value,
                          mehler_value, solve_value, value_at)

@@ -19,18 +19,17 @@ The reduced process lives on the Coulomb surface:
     df~ = mu^2 kappa drift_f dt + mu sqrt(kappa) (N_f dw_A + dw_f),
 
 with the closed-form scalar drift of :meth:`.orbit.OrbitGeometry.drift`; the
-potential-sector drift is identically zero.  N_f dw_A is the sitewise
-product -g0 Jbar f~ (green div dw_A), and the transverse projector is
-applied to A* + mu sqrt(kappa) dw_A, which re-projects onto div(A*) = 0
-after every step.  :func:`reduced_batch_diagnostics` integrates paths in
-chunks whose states are stacked along a leading axis, so each step builds one
-stacked :class:`~.orbit.OrbitGeometry` for all live paths of the chunk.  A
-path aborts, and is reported in the abort fraction, when a step would start
-from a non-finite state, from a minimum sitewise |f~|^2 below the
-singularity floor or from an orbit metric that is not positive definite, or
-when its final state is non-finite.  Every chunked integrator caps a
-chunk's rows so its noise (and, for the reduced process, its per-path
-geometry) stays within about _CHUNK_BYTES.
+potential-sector drift is identically zero.
+
+One Euler loop, :func:`_integrate_chunk`, integrates both processes in
+chunks of paths whose flat states are stacked along a leading axis.  The
+process is its step callable ``step(x, dw) -> (x, keep)``: a flat process
+steps x + drift(x) dt + sigma dw, and the reduced step of
+:func:`_reduced_step` builds one stacked :class:`~.orbit.OrbitGeometry` for
+the chunk's going paths and stops the paths it cannot step, which are
+reported in the abort fraction.  A chunk's rows are capped so its noise
+(and, for the reduced process, its step's geometry) stays within about
+_CHUNK_BYTES.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import FieldPair, AdaptedCoords, green_divergence, transverse_projector
+from .gauge import AdaptedCoords, green_divergence, transverse_projector
 from .lattice import flat, matvec, unflat
 from .orbit import OrbitGeometry, SingularOrbitMetric
 
@@ -86,16 +85,6 @@ class SDEConfig:
 
 
 @dataclass
-class SDEPath:
-    """Sampled trajectory with running potential integral."""
-
-    times: np.ndarray
-    states: list
-    accumulated_potential: np.ndarray
-    aborted_at: int | None = None
-
-
-@dataclass
 class FKEstimate:
     """Monte Carlo expectation with statistical error and diagnostics."""
 
@@ -114,13 +103,6 @@ def path_rng(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def wiener_increments(n, dt, rng):
-    """n i.i.d. normal(0, dt) draws from the given generator."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return rng.standard_normal(n) * math.sqrt(dt)
-
-
 def worker_count():
     """Thread-pool size from GAUGE_REDUCE_THREADS (default 1); raises
     ValueError unless it is an integer >= 1."""
@@ -133,106 +115,6 @@ def worker_count():
         raise ValueError(
             f"GAUGE_REDUCE_THREADS must be an integer >= 1, got {raw!r}")
     return n
-
-
-# ----------------------------------------------------------------------
-# field-space single steps (spec'd granular operations)
-# ----------------------------------------------------------------------
-
-def euler_step_original(lat, p, cfg, rng):
-    """One Euler step of the free diffusion on (A, f)."""
-    scale = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (lat.dim / 2.0)
-    nA = lat.dim * lat.n_sites
-    dw = wiener_increments(nA + 2 * lat.n_sites, cfg.dt, rng)
-    A = p.A + scale * unflat(dw[:nA], lat.dim, lat.n_sites)
-    f = p.f + scale * unflat(dw[nA:], 2, lat.n_sites)
-    return FieldPair(A, f, p.g0)
-
-
-def _steppable(A, f):
-    """Which states (A, f) of shape (..., sV) and (..., 2, V) a reduced step
-    may start from: A finite, and every sitewise |f~|^2 finite and at or
-    above the singularity floor."""
-    f2 = f[..., 0, :] ** 2 + f[..., 1, :] ** 2
-    return (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
-            & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
-
-
-def _reduced_increment(lat, geo, A, cfg, dw):
-    """Euler update of the states of ``geo`` (and potentials A, (..., sV))
-    with Wiener increments dw, (..., sV + 2V); returns the new (A, f~) as
-    (..., sV) and (..., 2, V).  A* has no drift, so one projector
-    application gives both the noise P dw_A and the re-projection onto
-    div(A*) = 0; N_f dw_A is applied sitewise as -g0 Jbar f~ (green div dw_A)."""
-    noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (lat.dim / 2.0)
-    pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
-    nA = lat.dim * lat.n_sites
-    dwA, dwf = dw[..., :nA], dw[..., nA:]
-    NdwA = -geo.g0 * geo.jf * matvec(green_divergence(lat), dwA)[..., None, :]
-    f_new = geo.f_tilde + pref * geo.drift() + noise * (NdwA + dwf.reshape(NdwA.shape))
-    return matvec(transverse_projector(lat), A + noise * dwA), f_new
-
-
-def euler_step_reduced(lat, c, g0, cfg, rng):
-    """One Euler step of the reduced dynamics on the Coulomb surface.
-
-    One :class:`OrbitGeometry` supplies both the drift and the sitewise
-    noise factor -g0 Jbar f~ of N_f.  A non-finite state or one with
-    min |f~|^2 below the singularity floor raises
-    :class:`SingularOrbitMetric`, as does a metric that is not positive
-    definite.
-    """
-    A = flat(c.A_star)
-    if not _steppable(A, c.f_tilde):
-        raise SingularOrbitMetric("reduced step at a degenerate or non-finite state")
-    geo = OrbitGeometry(lat, c.f_tilde, g0)
-    dw = wiener_increments(A.size + 2 * lat.n_sites, cfg.dt, rng)
-    A, f = _reduced_increment(lat, geo, A, cfg, dw)
-    return AdaptedCoords(unflat(A, lat.dim, lat.n_sites), f, c.a.copy())
-
-
-def sample_original_path(lat, p0, cfg, rng, v0=None):
-    """Integrate one path of the free field diffusion, tracking the running
-    trapezoidal integral of the potential functional."""
-    from .gauge import potential
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    states = [p0]
-    acc = np.zeros(cfg.n_steps + 1)
-    vprev = potential(lat, p0, v0)
-    p = p0
-    for k in range(cfg.n_steps):
-        p = euler_step_original(lat, p, cfg, rng)
-        states.append(p)
-        vcur = potential(lat, p, v0)
-        acc[k + 1] = acc[k] + 0.5 * (vprev + vcur) * cfg.dt
-        vprev = vcur
-    return SDEPath(times, states, acc)
-
-
-def sample_reduced_path(lat, c0, g0, cfg, rng, v0=None):
-    """Integrate one reduced path; aborts (and records where) at a
-    degenerate orbit instead of raising.  The potential integral is
-    accumulated for the surface representative (A*, f~)."""
-    from .gauge import FieldPair, potential
-
-    def surface_potential(c):
-        return potential(lat, FieldPair(c.A_star, c.f_tilde, g0), v0)
-
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    states = [c0]
-    acc = np.zeros(cfg.n_steps + 1)
-    vprev = surface_potential(c0)
-    c = c0
-    for k in range(cfg.n_steps):
-        try:
-            c = euler_step_reduced(lat, c, g0, cfg, rng)
-        except SingularOrbitMetric:
-            return SDEPath(times[:k + 1], states, acc[:k + 1], aborted_at=k)
-        states.append(c)
-        vcur = surface_potential(c)
-        acc[k + 1] = acc[k] + 0.5 * (vprev + vcur) * cfg.dt
-        vprev = vcur
-    return SDEPath(times, states, acc)
 
 
 # ----------------------------------------------------------------------
@@ -263,33 +145,41 @@ def _chunk_normals(seed, lo, hi, n_steps, dim):
     return out
 
 
-def _integrate_chunk(cfg, initial, z, drift, v, phi0, noise_scale,
-                     girsanov_drift=None):
-    """Euler-integrate one chunk; returns per-path phi0 values, exponents and
-    (optionally) the change-of-measure log-density for girsanov_drift."""
+def _integrate_chunk(cfg, initial, z, step, v=None):
+    """Euler-integrate one chunk of paths from the flat state ``initial``, (d,).
+
+    ``z`` holds the chunk's standard normals, (rows, n_steps, d).  Each step
+    calls ``step(x, dw) -> (x, keep)`` on the states of the rows still going,
+    (rows, d), and their Wiener increments; ``keep`` masks the rows of the
+    given x that go on (the returned x holds only those), or is None when
+    all do.  ``v``, if given, is integrated along each path by the
+    trapezoidal rule.  Returns the final states, the chunk rows they belong
+    to and those rows' exponents (1/mu^2 kappa) int v du.
+    """
     m = z.shape[0]
-    sigma = cfg.mu * math.sqrt(cfg.kappa) * noise_scale
     sqdt = math.sqrt(cfg.dt)
-    x = np.tile(np.asarray(initial, dtype=float), (m, 1))
+    x = np.tile(initial, (m, 1))
+    rows = np.arange(m)
     acc = np.zeros(m)
     vprev = v(x) if v is not None else None
-    logdens = np.zeros(m) if girsanov_drift is not None else None
     for k in range(cfg.n_steps):
-        dw = z[:, k, :] * sqdt
-        if girsanov_drift is not None:
-            b = girsanov_drift(x)
-            logdens += (b * dw).sum(axis=1) / (cfg.mu * math.sqrt(cfg.kappa)) \
-                - (b * b).sum(axis=1) * cfg.dt / (2.0 * cfg.mu ** 2 * cfg.kappa)
-        if drift is not None:
-            x = x + drift(x) * cfg.dt + sigma * dw
-        else:
-            x = x + sigma * dw
+        x, keep = step(x, (z[:, k] if rows.size == m else z[rows, k]) * sqdt)
+        if keep is not None:
+            rows, acc = rows[keep], acc[keep]
         if v is not None:
             vcur = v(x)
-            acc += 0.5 * (vprev + vcur) * cfg.dt
+            acc += 0.5 * ((vprev if keep is None else vprev[keep]) + vcur) * cfg.dt
             vprev = vcur
-    exponent = acc / (cfg.mu ** 2 * cfg.kappa)
-    return phi0(x), exponent, logdens
+    return x, rows, acc / (cfg.mu ** 2 * cfg.kappa)
+
+
+def _flat_step(cfg, drift, noise_scale):
+    """Euler step x + drift(x) dt + mu sqrt(kappa) noise_scale dw of a flat
+    vector process (no drift term when ``drift`` is None); no row stops."""
+    sigma = cfg.mu * math.sqrt(cfg.kappa) * noise_scale
+    if drift is None:
+        return lambda x, dw: (x + sigma * dw, None)
+    return lambda x, dw: (x + drift(x) * cfg.dt + sigma * dw, None)
 
 
 def _reduce_estimate(values, n_flagged, max_exponent, abort_fraction=0.0):
@@ -321,12 +211,12 @@ def feynman_kac(phi0, v, cfg, initial, drift=None, noise_scale=1.0):
     d = initial.size
     values = np.empty(cfg.n_paths)
     exponents = np.zeros(cfg.n_paths)
+    step = _flat_step(cfg, drift, noise_scale)
 
     def run(lo, hi):
         z = _chunk_normals(cfg.seed, lo, hi, cfg.n_steps, d)
-        p, e, _ = _integrate_chunk(cfg, initial, z, drift, v, phi0, noise_scale)
-        values[lo:hi] = p
-        exponents[lo:hi] = e
+        x, _, exponents[lo:hi] = _integrate_chunk(cfg, initial, z, step, v)
+        values[lo:hi] = phi0(x)
 
     _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
     n_flagged = int(np.sum(np.abs(exponents) > EXPONENT_GUARD))
@@ -349,17 +239,22 @@ def girsanov_check(cfg, initial, drift_field, phi0, noise_scale=1.0):
     d = initial.size
     v1 = np.empty(cfg.n_paths)
     v2 = np.empty(cfg.n_paths)
-    logd = np.empty(cfg.n_paths)
+    logd = np.zeros(cfg.n_paths)
+    drifted = _flat_step(cfg, drift_field, noise_scale)
+    driftless = _flat_step(cfg, None, noise_scale)
 
     def run(lo, hi):
         z = _chunk_normals(cfg.seed, lo, hi, cfg.n_steps, d)
-        p1, _, _ = _integrate_chunk(cfg, initial, z, drift_field, None, phi0,
-                                    noise_scale)
-        p2, _, ld = _integrate_chunk(cfg, initial, z, None, None, phi0,
-                                     noise_scale, girsanov_drift=drift_field)
-        v1[lo:hi] = p1
-        v2[lo:hi] = p2
-        logd[lo:hi] = ld
+        v1[lo:hi] = phi0(_integrate_chunk(cfg, initial, z, drifted)[0])
+        ld = logd[lo:hi]
+
+        def reweighted(x, dw):
+            b = drift_field(x)
+            ld[...] += (b * dw).sum(axis=1) / (cfg.mu * math.sqrt(cfg.kappa)) \
+                - (b * b).sum(axis=1) * cfg.dt / (2.0 * cfg.mu ** 2 * cfg.kappa)
+            return driftless(x, dw)
+
+        v2[lo:hi] = phi0(_integrate_chunk(cfg, initial, z, reweighted)[0])
 
     _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
     n_flagged = int(np.sum(np.abs(logd) > EXPONENT_GUARD))
@@ -403,9 +298,8 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
                     zc += z[:, k:n_steps * fac:fac]
                 zc /= math.sqrt(fac)
             cfg = SDEConfig(mu, kappa, dt, n_steps, n_paths, seed)
-            p, _, _ = _integrate_chunk(cfg, initial, zc, drift, None, phi0,
-                                       noise_scale)
-            values[dt][lo:hi] = p
+            x, _, _ = _integrate_chunk(cfg, initial, zc, _flat_step(cfg, drift, noise_scale))
+            values[dt][lo:hi] = phi0(x)
 
     _run_chunks(run, n_paths, 8 * n_fine * d)
     return {dt: _reduce_estimate(values[dt], 0, 0.0) for dt in dts}
@@ -425,52 +319,84 @@ def _geometry_of_rows(lat, f, g0, keep):
     return None
 
 
+def _reduced_step(lat, g0, cfg):
+    """Euler step of the reduced process for :func:`_integrate_chunk`, on flat
+    states (A*, f~1, f~2) of (s + 2)V entries.
+
+    A row stops before the step when its A* or a sitewise |f~|^2 is not
+    finite, when its min |f~|^2 is below the singularity floor or when its
+    orbit metric is not positive definite; it stops after the step when one
+    drift displacement mu^2 kappa dt |drift_f| exceeds |f~| at some site,
+    since the Euler step has then left the scale on which the geometry was
+    evaluated.  One stacked :class:`OrbitGeometry` of the going rows gives
+    the drift and the sitewise factor -g0 Jbar f~ of N_f, so
+    N_f dw_A = -g0 Jbar f~ (green div dw_A); A* has no drift, so one
+    projector application gives both the noise P dw_A and the re-projection
+    onto div(A*) = 0.  The geometry is local to the call, so it is freed
+    before the next step builds its own.
+    """
+    s, V = lat.dim, lat.n_sites
+    nA = s * V
+    noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
+    pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
+    P, green_div = transverse_projector(lat), green_divergence(lat)
+
+    def step(x, dw):
+        A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
+        f2 = (f ** 2).sum(axis=-2)
+        keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
+                & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
+        geo = _geometry_of_rows(lat, f, g0, keep)
+        if geo is None:
+            return x[keep], keep
+        dw = dw[keep]
+        move = pref * geo.drift()
+        NdwA = -g0 * geo.jf * matvec(green_div, dw[:, :nA])[:, None, :]
+        new = np.empty((len(dw), s + 2, V))
+        new[:, :s] = matvec(P, A[keep] + noise * dw[:, :nA]).reshape(-1, s, V)
+        np.add(geo.f_tilde + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),
+               out=new[:, s:])
+        far = (move * move).sum(axis=-2) > f2[keep]
+        if far.any():
+            far = far.any(axis=-1)
+            keep[np.flatnonzero(keep)[far]] = False
+            new = new[~far]
+        return new.reshape(len(new), (s + 2) * V), keep
+
+    return step
+
+
 def reduced_batch_diagnostics(lat, c0, g0, cfg):
     """Run cfg.n_paths reduced paths; returns (abort_fraction, endpoints).
 
-    Paths are integrated in chunks, each chunk's states stacked along a
-    leading axis so one :class:`OrbitGeometry` serves every live path of a
-    step.  Path i's noise is row i of the chunk's normals, exactly the
-    stream of ``path_rng(seed, i)``, and its arithmetic does not depend on
-    which paths share its chunk, so its endpoint is bitwise independent of
-    n_paths, the chunking and the thread count.  A path aborts, and its endpoint is
-    excluded, when a step would start from a non-finite state, from min
-    |f~|^2 below the singularity floor or from an orbit metric that is not
-    positive definite, or when its final state is non-finite.
+    A path's arithmetic does not depend on which paths share its chunk, so
+    its endpoint is bitwise independent of n_paths, the chunking and the
+    thread count.  A path aborts, and its endpoint is excluded, when
+    :func:`_reduced_step` stops it or when its final state is non-finite.
     """
     s, V = lat.dim, lat.n_sites
     d = (s + 2) * V
-    A0 = flat(c0.A_star)
-    f0 = lat.check_doublet(c0.f_tilde)
-    ends_A = np.empty((cfg.n_paths, s * V))
-    ends_f = np.empty((cfg.n_paths, 2, V))
+    initial = np.concatenate([flat(c0.A_star), flat(lat.check_doublet(c0.f_tilde))])
+    ends = np.empty((cfg.n_paths, d))
     done = np.zeros(cfg.n_paths, dtype=bool)
-    sqdt = math.sqrt(cfg.dt)
+    step = _reduced_step(lat, g0, cfg)
 
     def run(lo, hi):
         z = _chunk_normals(cfg.seed, lo, hi, cfg.n_steps, d)
-        live = np.arange(hi - lo)
-        A = np.tile(A0, (live.size, 1))
-        f = np.tile(f0, (live.size, 1, 1))
-        # a diverging path overflows before it aborts; the abort accounts for it
+        # a path may overflow in the step that stops it; the abort accounts for it
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(cfg.n_steps):
-                keep = _steppable(A, f)
-                geo = _geometry_of_rows(lat, f, g0, keep)
-                live = live[keep]
-                if geo is None:
-                    return
-                A, f = _reduced_increment(lat, geo, A[keep], cfg, z[live, k] * sqdt)
-        keep = np.isfinite(A).all(axis=-1) & np.isfinite(f).all(axis=(-2, -1))
-        paths = lo + live[keep]
-        ends_A[paths], ends_f[paths], done[paths] = A[keep], f[keep], True
+            x, rows, _ = _integrate_chunk(cfg, initial, z, step)
+        keep = np.isfinite(x).all(axis=-1)
+        ends[lo + rows[keep]] = x[keep]
+        done[lo + rows[keep]] = True
 
-    # a row holds a path's noise (n_steps x d normals) and at most 8 V x V
-    # arrays: the previous step's D, chol and Dinv, still referenced while
-    # the next geometry is built, plus its D, chol and three temporaries of
-    # the inverse (W and w take at most three beside D, chol and Dinv)
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 8 * V * V))
-    endpoints = [AdaptedCoords(unflat(ends_A[i], s, V), ends_f[i], c0.a.copy())
+    # a row holds a path's noise (n_steps x d normals) and at most 7 V x V
+    # arrays: the step's own geometry peaks at six (D, chol and Dinv beside
+    # three temporaries of the inverse or of W and w), and the row's states
+    # and increments take a few d-vectors more
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 7 * V * V))
+    endpoints = [AdaptedCoords(unflat(ends[i, :s * V], s, V), unflat(ends[i, s * V:], 2, V),
+                               c0.a.copy())
                  for i in np.flatnonzero(done)]
     return (cfg.n_paths - len(endpoints)) / cfg.n_paths, endpoints
 

@@ -206,6 +206,22 @@ def test_cmd_simulate_reduced_non_finite_paths_abort(tmp_path, monkeypatch):
     assert row[header.index("status")] == "unreliable"
 
 
+def test_cmd_simulate_reduced_divergent_step_aborts(tmp_path):
+    # at dt = 30 on (1, 3) the first drift displacement is 8.5 |f~| at every
+    # site of the uniform start: every path aborts instead of ending at
+    # |f~|^2 ~ 1e225 with status ok; at dt = 1 the largest ratio is 0.28 and
+    # no path aborts
+    for dt, code, abort, status in ((30.0, 1, 1.0, "unreliable"), (1.0, 0, 0.0, "ok")):
+        path, _ = make_config(tmp_path, **{
+            "lattice.dim": 1, "lattice.sites_per_dim": 3, "sde.n_paths": 50,
+            "sde.n_steps": 20, "sde.dt": dt, "sde.process": "reduced",
+        })
+        assert main(["simulate", str(path)]) == code
+        header, row = read_rows(tmp_path / "out" / "simulate.csv")
+        assert float(row[header.index("abort_fraction")]) == abort
+        assert row[header.index("status")] == status
+
+
 def test_cmd_simulate_reduced_byte_identical_across_threads_and_chunks(tmp_path,
                                                                       monkeypatch):
     # one chunk, then one path per chunk on 1 and 2 threads, then a rerun

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,11 +13,9 @@ from gaugereduce import orbit, sde
 from gaugereduce.gauge import AdaptedCoords, FieldPair, projector_N, transverse_projector
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift
-from gaugereduce.sde import (SDEConfig, _chunk_normals, euler_step_original,
-                             euler_step_reduced, feynman_kac, girsanov_check,
+from gaugereduce.sde import (SDEConfig, _chunk_normals, feynman_kac, girsanov_check,
                              path_rng, reduced_batch_diagnostics,
-                             sample_reduced_path, weak_convergence_estimates,
-                             wiener_increments, worker_count)
+                             weak_convergence_estimates, worker_count)
 
 
 def test_sde_config_validation():
@@ -31,28 +30,30 @@ def test_sde_config_validation():
 
 
 def test_wiener_determinism():
-    a = wiener_increments(1000, 1e-3, path_rng(42, 0))
-    b = wiener_increments(1000, 1e-3, path_rng(42, 0))
+    # the integrators' increments are sqrt(dt) times a path's chunk normals
+    a = _chunk_normals(42, 0, 2, 1000, 1)
+    b = _chunk_normals(42, 0, 2, 1000, 1)
     assert np.array_equal(a, b)
-    c = wiener_increments(1000, 1e-3, path_rng(42, 1))
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[0], a[1])
+    assert np.array_equal(a[0], path_rng(42, 0).standard_normal((1000, 1)))
 
 
 def test_wiener_moments():
     # CLT band: |mean| <= 4 sqrt(dt / n)
     dt, n = 2e-3, 10 ** 6
-    w = wiener_increments(n, dt, path_rng(7, 0))
+    w = _chunk_normals(7, 0, 1, n, 1)[0, :, 0] * math.sqrt(dt)
     assert abs(w.mean()) <= 4 * math.sqrt(dt / n)
     assert w.var() == pytest.approx(dt, rel=0.02)
 
 
 def test_wiener_independence():
-    # sample covariance of two component streams within 4 sigma of zero
+    # sample covariance of two components of one path, and of the same
+    # component of two paths, within 4 sigma of zero
     dt, n = 1e-3, 10 ** 6
-    rng = path_rng(8, 0)
-    w = wiener_increments(2 * n, dt, rng).reshape(2, n)
-    cov = float(np.mean(w[0] * w[1]))
-    assert abs(cov) <= 4 * dt / math.sqrt(n)
+    w = _chunk_normals(8, 0, 2, n // 2, 2) * math.sqrt(dt)
+    for a, b in ((w[:, :, 0], w[:, :, 1]), (w[0], w[1])):
+        cov = float(np.mean(a * b))
+        assert abs(cov) <= 4 * dt / math.sqrt(n)
 
 
 def test_path_rng_keys_every_64_bit_seed():
@@ -85,26 +86,33 @@ def test_worker_count_refuses_non_positive_or_non_integer(monkeypatch):
             worker_count()
 
 
+def _original_start(lat, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([flat(lat.random_vector(rng)), flat(lat.random_doublet(rng))])
+
+
 def test_euler_original_zero_mu_is_identity():
     lat = Lattice(1, 4)
-    rng = np.random.default_rng(0)
-    p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+    x = _original_start(lat, 0)[None, :]
     cfg0 = types.SimpleNamespace(mu=0.0, kappa=1.0, dt=1e-3)
-    q = euler_step_original(lat, p, cfg0, path_rng(1, 0))
-    assert_allclose(q.A, p.A, atol=0)
-    assert_allclose(q.f, p.f, atol=0)
+    step = sde._flat_step(cfg0, None, lat.spacing ** -0.5)
+    y, keep = step(x, _chunk_normals(1, 0, 1, 1, x.size)[:, 0] * math.sqrt(cfg0.dt))
+    assert keep is None
+    assert np.array_equal(y, x)
 
 
 def test_euler_original_matches_manual_arithmetic():
+    # one step of the original process as simulate runs it, on (A, f1, f2)
     lat = Lattice(1, 4, spacing=0.5)
-    rng = np.random.default_rng(1)
-    p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+    x0 = _original_start(lat, 1)
     cfg = SDEConfig(1.3, 0.7, 1e-2, 1, 1, 3)
-    q = euler_step_original(lat, p, cfg, path_rng(3, 0))
-    dw = wiener_increments(3 * lat.n_sites, cfg.dt, path_rng(3, 0))
+    z = _chunk_normals(cfg.seed, 0, 1, 1, x0.size)
+    x, rows, _ = sde._integrate_chunk(cfg, x0, z, sde._flat_step(cfg, None, lat.spacing ** -0.5))
+    dw = path_rng(3, 0).standard_normal(3 * lat.n_sites) * math.sqrt(cfg.dt)
     scale = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** 0.5
-    assert_allclose(q.A, p.A + scale * dw[:4].reshape(1, 4), atol=0)
-    assert_allclose(q.f, p.f + scale * dw[4:].reshape(2, 4), atol=0)
+    assert rows.tolist() == [0]
+    assert_allclose(x[0, :4], x0[:4] + scale * dw[:4], atol=0)
+    assert_allclose(x[0, 4:], x0[4:] + scale * dw[4:], atol=0)
 
 
 def test_original_process_martingale_and_variance():
@@ -121,60 +129,78 @@ def test_original_process_martingale_and_variance():
 
 
 def test_reduced_step_zero_field_raises():
+    # the step's geometry raises at f~ = 0, and the integrator counts the
+    # path as aborted
     lat = Lattice(1, 2)
-    cfg = SDEConfig(1.0, 1.0, 1e-3, 1, 1, 1)
-    c = AdaptedCoords(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(SingularOrbitMetric):
-        euler_step_reduced(lat, c, 0.8, cfg, path_rng(1, 0))
+        OrbitGeometry(lat, np.zeros((2, 2)), 0.8)
+    c = AdaptedCoords(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2))
+    abort, ends = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, 1e-3, 1, 1, 1))
+    assert abort == 1.0 and ends == []
+
+
+def test_reduced_batch_aborts_near_singularity():
+    # min |f~|^2 = 2e-14 is below the floor: the path aborts at step 0
+    lat = Lattice(1, 2)
+    c = AdaptedCoords(np.zeros((1, 2)), np.full((2, 2), 1e-7), np.zeros(2))
+    abort, ends = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1))
+    assert abort == 1.0 and ends == []
 
 
 @pytest.mark.parametrize("s,n,f0,dt,n_steps,seed", [
     (2, 3, (1.0, 0.5), 5e-3, 15, 6),
     (2, 4, (1.0, 0.3), 1e-2, 50, 5),
 ], ids=["s2n3", "s2n4"])
-def test_reduced_with_drift_preserves_constraint(s, n, f0, dt, n_steps, seed):
+def test_reduced_with_drift_preserves_constraint(monkeypatch, s, n, f0, dt, n_steps, seed):
     lat = Lattice(s, n)
     V = lat.n_sites
     c = AdaptedCoords(np.zeros((s, V)), np.stack([np.full(V, f0[0]), np.full(V, f0[1])]),
                       np.zeros(V))
-    cfg = SDEConfig(1.0, 1.0, dt, n_steps, 1, seed)
-    gen = path_rng(seed, 0)
-    for _ in range(cfg.n_steps):
-        c = euler_step_reduced(lat, c, 0.8, cfg, gen)
-        assert np.abs(lat.divergence(c.A_star)).max() <= 1e-10
+    real, states = sde._reduced_step, []
+
+    def recording(lat, g0, cfg):           # keeps the states every step returns
+        step = real(lat, g0, cfg)
+
+        def wrapped(x, dw):
+            x, keep = step(x, dw)
+            states.append(x)
+            return x, keep
+        return wrapped
+
+    monkeypatch.setattr(sde, "_reduced_step", recording)
+    abort, _ = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, dt, n_steps, 1, seed))
+    assert abort == 0.0 and len(states) == n_steps
+    for x in states:
+        assert np.abs(lat.divergence(x[0, :s * V].reshape(s, V))).max() <= 1e-10
 
 
-class _FixedNoise:
-    """Duck-typed generator returning a preset standard-normal vector."""
+def _antithetic_normals(monkeypatch, z):
+    """Patch sde._chunk_normals so path 2i steps once with +z[i], path 2i + 1
+    with -z[i]."""
+    rows = np.stack([z, -z], axis=1).reshape(-1, 1, z.shape[-1])
 
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=float)
+    def fixed(seed, lo, hi, n_steps, dim):
+        assert n_steps == 1 and dim == z.shape[-1]
+        return rows[lo:hi].copy()
 
-    def standard_normal(self, n):
-        assert n == self.z.size
-        return self.z.copy()
+    monkeypatch.setattr(sde, "_chunk_normals", fixed)
 
 
-def test_reduced_one_step_mean_is_drift():
+def test_reduced_one_step_mean_is_drift(monkeypatch):
     # antithetic +-z pairs cancel the noise exactly, leaving mu^2 kappa drift dt
     lat = Lattice(1, 2)
     rng = np.random.default_rng(3)
     f0 = rng.standard_normal((2, 2))
     c0 = AdaptedCoords(np.zeros((1, 2)), f0, np.zeros(2))
     g0 = 0.8
-    cfg = SDEConfig(1.2, 0.9, 1e-2, 1, 1, 1)
-    drift_A, drift_f = reduced_drift(lat, c0, g0)
     n = 64
-    meanA = np.zeros((1, 2))
-    meanf = np.zeros((2, 2))
-    for i in range(n):
-        z = rng.standard_normal(6)
-        for sign in (+1.0, -1.0):
-            c1 = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(sign * z))
-            meanA += c1.A_star - c0.A_star
-            meanf += c1.f_tilde - c0.f_tilde
-    meanA /= 2 * n
-    meanf /= 2 * n
+    cfg = SDEConfig(1.2, 0.9, 1e-2, 1, 2 * n, 1)
+    drift_A, drift_f = reduced_drift(lat, c0, g0)
+    _antithetic_normals(monkeypatch, rng.standard_normal((n, 6)))
+    abort, ends = reduced_batch_diagnostics(lat, c0, g0, cfg)
+    assert abort == 0.0
+    meanA = sum(c1.A_star - c0.A_star for c1 in ends) / (2 * n)
+    meanf = sum(c1.f_tilde - c0.f_tilde for c1 in ends) / (2 * n)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
     # potential-sector drift is zero and the step reprojects, so compare after P
     P = transverse_projector(lat)
@@ -182,17 +208,18 @@ def test_reduced_one_step_mean_is_drift():
     assert np.abs(meanf - pref * drift_f).max() <= 1e-12
 
 
-def test_reduced_noise_block_structure():
+def test_reduced_noise_block_structure(monkeypatch):
     # f-sector noise is N_f dw_A + dw_f; an antithetic +-z pair cancels the
     # drift, so half the difference of the two steps is the noise
     lat = Lattice(2, 3)
     rng = np.random.default_rng(4)
     f0 = rng.standard_normal((2, 9)) + 2.0
     c0 = AdaptedCoords(np.zeros((2, 9)), f0, np.zeros(9))
-    g0, cfg = 0.8, SDEConfig(1.0, 1.0, 4e-2, 1, 1, 1)
+    g0, cfg = 0.8, SDEConfig(1.0, 1.0, 4e-2, 1, 2, 1)
     z = rng.standard_normal(4 * 9)
-    cp = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(z))
-    cm = euler_step_reduced(lat, c0, g0, cfg, _FixedNoise(-z))
+    _antithetic_normals(monkeypatch, z[None, :])
+    abort, (cp, cm) = reduced_batch_diagnostics(lat, c0, g0, cfg)
+    assert abort == 0.0
     dw = z * math.sqrt(cfg.dt)
     P = transverse_projector(lat)
     _, N_f = projector_N(lat, f0, g0)
@@ -232,7 +259,8 @@ def test_reduced_step_builds_one_geometry(monkeypatch):
     lat = Lattice(2, 3)
     rng = np.random.default_rng(5)
     c0 = AdaptedCoords(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0, np.zeros(9))
-    euler_step_reduced(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1), path_rng(1, 0))
+    abort, _ = reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1))
+    assert abort == 0.0
     assert counts == {"orbit_metric": 1, "projector_N": 0}
 
 
@@ -243,19 +271,18 @@ def _uniform_start(lat):
 
 
 def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
-    # a raised floor makes some paths abort part way; the batched integrator
-    # aborts exactly the paths that single steps on path_rng(seed, i) abort,
-    # and the surviving endpoints are bitwise theirs
+    # a raised floor makes some paths abort part way; one chunk of all paths
+    # aborts exactly the paths that one-path chunks abort, and the surviving
+    # endpoints are bitwise theirs
     monkeypatch.setattr(sde, "SINGULARITY_FLOOR", 0.6)
     lat = Lattice(1, 3)
     c0 = _uniform_start(lat)
     cfg = SDEConfig(1.0, 1.0, 0.03, 20, 24, 2)
     abort, ends = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
-    paths = [sample_reduced_path(lat, c0, 0.8, cfg, path_rng(cfg.seed, i))
-             for i in range(cfg.n_paths)]
-    kept = [p.states[-1] for p in paths if p.aborted_at is None]
+    monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
+    single_abort, kept = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
     assert 0 < len(kept) < cfg.n_paths
-    assert abort == (cfg.n_paths - len(kept)) / cfg.n_paths
+    assert abort == single_abort == (cfg.n_paths - len(kept)) / cfg.n_paths
     assert len(ends) == len(kept)
     for end, ref in zip(ends, kept):
         assert np.array_equal(end.A_star, ref.A_star)
@@ -318,6 +345,36 @@ def test_reduced_endpoint_independent_of_n_paths():
                 assert np.array_equal(runs[n_paths][i].A_star, runs[7][i].A_star)
 
 
+@pytest.mark.parametrize("s,n", [(3, 4), (2, 8), (3, 6)])
+def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
+    # a chunk's traced peak (its noise, states and one step's geometry)
+    # stays within the rows x row_bytes the byte cap charges it; the V x V
+    # term of the charge dominates from V = 64 on
+    lat = Lattice(s, n)
+    c0 = _uniform_start(lat)
+    cfg = SDEConfig(1.0, 1.0, 1e-3, 3, 6, 1)
+    reduced_batch_diagnostics(lat, c0, 0.8, cfg)    # builds the lattice's cached operators
+    run_chunks, peaks = sde._run_chunks, []
+
+    def measured(run, n_paths, row_bytes):
+        def wrapped(lo, hi):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(lo, hi)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base, (hi - lo) * row_bytes))
+        run_chunks(wrapped, n_paths, row_bytes)
+
+    monkeypatch.setattr(sde, "_run_chunks", measured)
+    tracemalloc.start()
+    try:
+        reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    for peak, charge in peaks:
+        assert peak <= charge
+
+
 def test_reduced_two_site_chain_grows_like_original_process():
     # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
     # cancels the orbit mean curvature j2 = sigma'/4 = f/(2|f|^2) exactly, so the
@@ -342,43 +399,30 @@ def test_reduced_two_site_chain_grows_like_original_process():
     assert abs(mean - 2 * (1.0 + 3 * mu ** 2 * kappa * T)) > 6 * se + cfg.dt
 
 
-def test_sample_original_path_contract():
+def test_feynman_kac_trapezoid_matches_manual_path():
+    # one path of the original process on (A, f1, f2): its weight is the
+    # exponential of a manual trapezoid of the gauge potential over the
+    # states its own path_rng stream visits
     from gaugereduce.gauge import potential
-    from gaugereduce.sde import sample_original_path
     lat = Lattice(1, 4)
-    rng = np.random.default_rng(30)
-    p0 = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+    x0 = _original_start(lat, 30)
     cfg = SDEConfig(1.0, 1.0, 5e-3, 12, 1, 1)
-    path = sample_original_path(lat, p0, cfg, path_rng(1, 0))
-    assert path.states[0] is p0
-    assert np.all(np.diff(path.times) > 0)
-    assert len(path.states) == cfg.n_steps + 1
-    # running integral matches a manual trapezoid over the recorded states
-    vals = [potential(lat, p) for p in path.states]
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (np.array(vals[:-1]) + np.array(vals[1:])) * cfg.dt)])
-    assert_allclose(path.accumulated_potential, acc, atol=1e-12)
 
+    def v(x):
+        return np.array([potential(lat, FieldPair(r[:4].reshape(1, 4), r[4:].reshape(2, 4), 0.8))
+                         for r in x])
 
-def test_sample_reduced_path_accumulates_surface_potential():
-    from gaugereduce.sde import sample_reduced_path
-    lat = Lattice(1, 2)
-    f0 = np.stack([np.ones(2), np.zeros(2)])
-    c0 = AdaptedCoords(np.zeros((1, 2)), f0, np.zeros(2))
-    cfg = SDEConfig(1.0, 1.0, 2e-3, 10, 1, 1)
-    path = sample_reduced_path(lat, c0, 0.8, cfg, path_rng(2, 0))
-    assert path.aborted_at is None
-    assert len(path.accumulated_potential) == cfg.n_steps + 1
-    assert path.accumulated_potential[0] == 0.0
-
-
-def test_sample_reduced_path_aborts_near_singularity():
-    lat = Lattice(1, 2)
-    f0 = np.full((2, 2), 1e-7)
-    c0 = AdaptedCoords(np.zeros((1, 2)), f0, np.zeros(2))
-    cfg = SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1)
-    path = sample_reduced_path(lat, c0, 0.8, cfg, path_rng(1, 0))
-    assert path.aborted_at == 0
-    assert len(path.states) == 1
+    est = feynman_kac(lambda x: np.ones(x.shape[0]), v, cfg, x0)
+    z = path_rng(cfg.seed, 0).standard_normal((cfg.n_steps, x0.size))
+    x, vals = x0, [v(x0[None])[0]]
+    for k in range(cfg.n_steps):
+        x = x + cfg.mu * math.sqrt(cfg.kappa) * (z[k] * math.sqrt(cfg.dt))
+        vals.append(v(x[None])[0])
+    vals = np.array(vals)
+    acc = np.sum(0.5 * (vals[:-1] + vals[1:]) * cfg.dt)
+    assert acc != 0.0
+    assert est.max_exponent == pytest.approx(abs(acc), rel=1e-12)
+    assert est.mean == pytest.approx(math.exp(acc), rel=1e-12)
 
 
 def test_feynman_kac_trivial():
@@ -494,7 +538,7 @@ def test_weak_convergence_coarse_normals_sum_fine_ones(d, dts):
         zc = z[:, :n_steps * fac].reshape(n_paths, n_steps, fac, d)
         zc = zc.sum(axis=2) / math.sqrt(fac)
         cfg = SDEConfig(1.0, 1.0, dt, n_steps, n_paths, seed)
-        values = sde._integrate_chunk(cfg, x0, zc, drift, None, quad, 1.0)[0]
+        values = quad(sde._integrate_chunk(cfg, x0, zc, sde._flat_step(cfg, drift, 1.0))[0])
         ref = sde._reduce_estimate(values, 0, 0.0)
         assert (ests[dt].mean, ests[dt].std_error) == (ref.mean, ref.std_error)
 
