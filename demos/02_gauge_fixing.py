@@ -10,9 +10,9 @@ Green function do all the work.
 
 import numpy as np
 
-from gaugereduce import (FieldPair, Lattice, faddeev_popov, from_adapted,
-                         gauge_transform, potential, projector_N, to_adapted,
-                         transverse_projector)
+from gaugereduce import (FieldPair, Lattice, faddeev_popov, flat, from_adapted,
+                         gauge_transform, killing_vector, potential, projector_N,
+                         to_adapted, transverse_projector)
 
 rng = np.random.default_rng(1)
 lat = Lattice(2, 4)
@@ -40,8 +40,13 @@ G = lat.gradient_matrix()
 print(f"|P^2 - P|_max      = {np.abs(P @ P - P).max():.2e}")
 print(f"|P grad|_max       = {np.abs(P @ G).max():.2e}   (kills pure-gauge directions)")
 print(f"|div P|_max        = {np.abs(lat.divergence_matrix() @ P).max():.2e}   (lands on the surface)")
+# the frame projection (P, N_f) sends a gauge direction K(eps) to zero when
+# eps lies in range(Phi), the part of the gauge the Coulomb condition fixes
 N_A, N_f = projector_N(lat, p.f, g0)
-print(f"|N_A - P|_max      = {np.abs(N_A - P).max():.2e}   (potential block of the frame)")
+eps = faddeev_popov(lat).range_projector() @ rng.standard_normal(lat.n_sites)
+kA, kf = killing_vector(lat, p, eps)
+frame = max(np.abs(N_A @ flat(kA)).max(), np.abs(N_f @ flat(kA) + flat(kf)).max())
+print(f"|(P, N_f) K(eps)|  = {frame:.2e}   (the frame kills gauge directions)")
 
 print("\n=== gauge-fixing operator and its Green function ===")
 fp = faddeev_popov(lat)

@@ -24,6 +24,8 @@ import csv
 import hashlib
 import io
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
 from .kolmogorov import compare, discretization_budget
 from .lattice import Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
-                    orbit_metric, reduction_jacobian)
+                    horizontal_project, orbit_metric, reduction_jacobian)
 from .sde import (SDEConfig, _reduce_estimate, feynman_kac, girsanov_check,
                   path_rng, reduced_batch_diagnostics, worker_count)
 
@@ -208,77 +210,90 @@ def _field_from_source(config, lat):
     return f
 
 
+@dataclass
+class InvariantSample:
+    """One draw for :data:`INVARIANTS`: a configuration, a gauge parameter and
+    a tangent pair (vA, vf); each derived piece is built on first read."""
+
+    lat: Lattice
+    p: FieldPair
+    eps: np.ndarray = None
+    tangent: tuple = None
+    c = cached_property(lambda x: to_adapted(x.lat, x.p))
+    geo = cached_property(lambda x: OrbitGeometry(x.lat, x.p.f, x.p.g0))
+    fp = cached_property(lambda x: faddeev_popov(x.lat))
+    P = cached_property(lambda x: transverse_projector(x.lat))
+
+
+def _frame_kills_gauge(x):
+    """(P, N_f) K(eps) = 0 for eps in range(Phi): P grad = 0, N_f grad eps = -g0 eps Jbar f."""
+    N_A, N_f = projector_N(x.lat, x.p.f, x.p.g0)
+    kA, kf = killing_vector(x.lat, x.p, x.fp.range_projector() @ x.eps)
+    return max(np.abs(N_A @ flat(kA)).max(), np.abs(N_f @ flat(kA) + flat(kf)).max())
+
+
+def _round_trip(x):
+    q = from_adapted(x.lat, x.c, x.p.g0)
+    return max(np.abs(q.A - x.p.A).max(), np.abs(q.f - x.p.f).max())
+
+
+def _gauge_invariance(x):
+    v1 = potential(x.lat, x.p)
+    return abs(potential(x.lat, gauge_transform(x.lat, x.p, x.eps)) - v1) / (1.0 + abs(v1))
+
+
+def _sigma_gradient_fd(x):
+    lat, f, g0, d, worst = x.lat, x.p.f, x.p.g0, 1e-5, 0.0
+    for a, site in [(0, 0), (1, lat.n_sites // 2)]:
+        e = np.zeros_like(f); e[a, site] = d
+        fd = (orbit_metric(lat, f + e, g0).logdet - orbit_metric(lat, f - e, g0).logdet) / (2 * d)
+        worst = max(worst, abs(fd - x.geo.grad_f[a, site]) / max(abs(fd), 1e-12))
+    return worst
+
+
+# (name, tolerance, residual(sample)), read by `check` and the acceptance suite
+INVARIANTS = (
+    ("projector_idempotent", 1e-10, lambda x: np.abs(x.P @ x.P - x.P).max()),
+    ("projector_kills_gradients", 1e-10, lambda x: np.abs(x.P @ x.lat.gradient_matrix()).max()),
+    ("divergence_of_projection", 1e-10, lambda x: np.abs(x.lat.divergence_matrix() @ x.P).max()),
+    ("projector_N_kills_gauge_directions", 1e-10, _frame_kills_gauge),
+    ("fp_pseudo_identity", 1e-10,
+     lambda x: np.abs(x.fp.matrix @ x.fp.green - x.fp.range_projector()).max()),
+    ("fp_green_symmetric", 1e-12, lambda x: np.abs(x.fp.green - x.fp.green.T).max()),
+    ("fp_green_kills_constants", 1e-12,
+     lambda x: np.abs(x.fp.green @ np.ones(x.lat.n_sites)).max()),
+    ("coulomb_constraint", 1e-10, lambda x: np.abs(x.lat.divergence(x.c.A_star)).max()),
+    ("gauge_parameter_mean_zero", 1e-14, lambda x: abs(x.c.a.mean())),
+    ("adapted_round_trip", 1e-10, _round_trip),
+    ("potential_gauge_invariance", 1e-9, _gauge_invariance),
+    ("sigma_gradient_fd", 1e-6, _sigma_gradient_fd),
+    ("pseudoinverse_identity", 1e-9,
+     lambda x: horizontal_metric(x.lat, x.c, x.p.g0).pseudoinverse_residual()),
+    ("connection_reproduction", 1e-9, lambda x: np.abs(
+        x.geo.connection().contract(*killing_vector(x.lat, x.p, x.eps)) - x.eps).max()),
+    ("connection_horizontality", 1e-9, lambda x: np.abs(x.geo.connection().contract(
+        *horizontal_project(x.lat, x.geo.connection(), x.p.f, x.p.g0, *x.tangent))).max()),
+)
+
+
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_check(config, corrupt=False):
-    """Run the invariant suite; one CSV row per check.  ``corrupt`` is a
-    test hook that deliberately damages the transverse projector."""
+def cmd_check(config):
+    """Evaluate every row of :data:`INVARIANTS` on one sample drawn from the
+    (sde.seed, 0) stream -- eps, A, f, then the tangent pair -- and write one
+    CSV row per invariant; exit code 1 if any row fails."""
     lat = config.lattice()
-    g0 = config["fields.g0"]
     rng = path_rng(config["sde.seed"], 0)
-    fp = faddeev_popov(lat)
-    P = transverse_projector(lat)
-    if corrupt:
-        P = P + 1e-3
-    G = lat.gradient_matrix()
-    V = lat.n_sites
-    rows = []
-
-    def add(name, residual, tol):
-        rows.append((name, f"{residual:.6e}", f"{tol:.1e}",
-                     "pass" if residual <= tol else "fail"))
-
     eps = lat.random_scalar(rng)
-    A = lat.random_vector(rng)
-    f = lat.random_doublet(rng)
-    p = FieldPair(A, f, g0)
-
-    add("projector_idempotent", float(np.abs(P @ P - P).max()), 1e-10)
-    add("projector_kills_gradients", float(np.abs(P @ G).max()), 1e-10)
-    add("divergence_of_projection", float(np.abs(lat.divergence_matrix() @ P).max()), 1e-10)
-    N_A, N_f = projector_N(lat, f, g0)
-    if corrupt:
-        N_A = N_A + 1e-3
-    add("projector_N_equals_transverse", float(np.abs(N_A - P).max()), 1e-12)
-    R = fp.range_projector()
-    add("fp_pseudo_identity", float(np.abs(fp.matrix @ fp.green - R).max()), 1e-10)
-    add("fp_green_symmetric", float(np.abs(fp.green - fp.green.T).max()), 1e-12)
-    add("fp_green_kills_constants", float(np.abs(fp.green @ np.ones(V)).max()), 1e-12)
-
-    c = to_adapted(lat, p)
-    add("coulomb_constraint", float(np.abs(lat.divergence(c.A_star)).max()), 1e-10)
-    add("gauge_parameter_mean_zero", abs(float(c.a.mean())), 1e-14)
-    back = from_adapted(lat, c, g0)
-    add("adapted_round_trip",
-        max(float(np.abs(back.A - p.A).max()), float(np.abs(back.f - p.f).max())), 1e-10)
-
-    v1 = potential(lat, p)
-    v2 = potential(lat, gauge_transform(lat, p, eps))
-    add("potential_gauge_invariance", abs(v2 - v1) / (1.0 + abs(v1)), 1e-9)
-
-    geo = OrbitGeometry(lat, f, g0)
-    d = 1e-5
-    idx = [(0, 0), (1, V // 2)]
-    worst = 0.0
-    for a, x in idx:
-        fp_ = f.copy(); fp_[a, x] += d
-        fm_ = f.copy(); fm_[a, x] -= d
-        fd = (orbit_metric(lat, fp_, g0).logdet - orbit_metric(lat, fm_, g0).logdet) / (2 * d)
-        worst = max(worst, abs(fd - geo.grad_f[a, x]) / max(abs(fd), 1e-12))
-    add("sigma_gradient_fd", worst, 1e-6)
-
-    hm = horizontal_metric(lat, c, g0)
-    add("pseudoinverse_identity", hm.pseudoinverse_residual(), 1e-9)
-
-    kA, kf = killing_vector(lat, p, eps)
-    add("connection_reproduction",
-        float(np.abs(geo.connection().contract(kA, kf) - eps).max()), 1e-9)
-
-    ok = all(r[3] == "pass" for r in rows)
+    p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), config["fields.g0"])
+    x = InvariantSample(lat, p, eps, (lat.random_vector(rng), lat.random_doublet(rng)))
+    results = [(name, tol, residual(x)) for name, tol, residual in INVARIANTS]
+    rows = [(name, f"{r:.6e}", f"{tol:.1e}", "pass" if r <= tol else "fail")
+            for name, tol, r in results]
     _write_csv(config, "check", ("check_name", "residual", "tolerance", "status"), rows)
-    return 0 if ok else 1
+    return 0 if all(row[3] == "pass" for row in rows) else 1
 
 
 def cmd_jacobian(config, field_path=None):

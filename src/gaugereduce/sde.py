@@ -390,11 +390,11 @@ def reduced_batch_diagnostics(lat, c0, g0, cfg):
         ends[lo + rows[keep]] = x[keep]
         done[lo + rows[keep]] = True
 
-    # a row holds a path's noise (n_steps x d normals) and at most 7 V x V
-    # arrays: the step's own geometry peaks at six (D, chol and Dinv beside
-    # three temporaries of the inverse or of W and w), and the row's states
-    # and increments take a few d-vectors more
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 7 * V * V))
+    # a row holds a path's noise (n_steps x d normals), at most 7 V x V
+    # arrays (the step's own geometry peaks at six: D, chol and Dinv beside
+    # three temporaries of the inverse or of W and w) and 6 d-vectors of
+    # states and increments (tracemalloc: up to 5.1 on small lattices)
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 7 * V * V))
     endpoints = [AdaptedCoords(unflat(ends[i, :s * V], s, V), unflat(ends[i, s * V:], 2, V),
                                c0.a.copy())
                  for i in np.flatnonzero(done)]

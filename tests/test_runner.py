@@ -6,7 +6,9 @@ import io
 import numpy as np
 import pytest
 
-from gaugereduce import runner
+from gaugereduce import orbit, runner
+from gaugereduce.gauge import FieldPair
+from gaugereduce.lattice import Lattice
 from gaugereduce.runner import (ConfigError, cmd_check, cmd_compare_oracle,
                                 cmd_jacobian, cmd_simulate, main, parse_config,
                                 read_field_file, write_field_file)
@@ -80,15 +82,53 @@ def test_cmd_check_default_passes(tmp_path):
     rows = read_rows(tmp_path / "out" / "check.csv")
     assert rows[0] == ["check_name", "residual", "tolerance", "status"]
     body = rows[1:]
-    assert len(body) >= 12
+    assert [r[0] for r in body] == [name for name, _, _ in runner.INVARIANTS]
     assert all(r[3] == "pass" for r in body)
 
 
-def test_cmd_check_corrupted_projector_fails(tmp_path):
+def test_cmd_check_corrupted_projector_fails(tmp_path, monkeypatch):
+    # a constant shift of P keeps P grad = 0 and div P = 0; only idempotency sees it
     _, cfg = make_config(tmp_path)
-    assert cmd_check(cfg, corrupt=True) == 1
+    projector = runner.transverse_projector
+    monkeypatch.setattr(runner, "transverse_projector", lambda lat: projector(lat) + 1e-3)
+    assert cmd_check(cfg) == 1
     rows = read_rows(tmp_path / "out" / "check.csv")
-    assert any(r[3] == "fail" for r in rows[1:])
+    assert {r[0] for r in rows[1:] if r[3] == "fail"} == {"projector_idempotent"}
+
+
+@pytest.mark.parametrize("s,n", [(1, 2), (1, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("name,tol,residual", runner.INVARIANTS,
+                         ids=[name for name, _, _ in runner.INVARIANTS])
+def test_invariant_row_holds(s, n, name, tol, residual):
+    lat = Lattice(s, n)
+    rng = np.random.default_rng(1000 * s + n)
+    for _ in range(3):
+        p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+        x = runner.InvariantSample(lat, p, lat.random_scalar(rng),
+                                   (lat.random_vector(rng), lat.random_doublet(rng)))
+        assert residual(x) <= tol
+
+
+def test_cmd_check_builds_one_geometry(tmp_path, monkeypatch):
+    # one sample: one OrbitGeometry (orbit_metric once) plus the four
+    # orbit_metric calls of the sigma' central differences
+    _, cfg = make_config(tmp_path)
+    counts = {"geometry": 0, "orbit_metric": 0}
+    init, metric = orbit.OrbitGeometry.__init__, orbit.orbit_metric
+
+    def counted_init(self, *args):
+        counts["geometry"] += 1
+        init(self, *args)
+
+    def counted_metric(*args):
+        counts["orbit_metric"] += 1
+        return metric(*args)
+
+    monkeypatch.setattr(orbit.OrbitGeometry, "__init__", counted_init)
+    for ns in (orbit, runner):
+        monkeypatch.setattr(ns, "orbit_metric", counted_metric)
+    assert cmd_check(cfg) == 0
+    assert counts == {"geometry": 1, "orbit_metric": 5}
 
 
 def test_cmd_jacobian_two_site_oracle(tmp_path):

@@ -375,6 +375,36 @@ def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
         assert peak <= charge
 
 
+@pytest.mark.parametrize("n_steps", [3, 100])
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 3), (2, 4), (3, 4)])
+def test_reduced_chunk_peak_per_row_within_row_charge(monkeypatch, s, n, n_steps):
+    # the traced chunk peak grows by at most the row charge per row; the
+    # slope between chunks of 4 and 12 rows cancels the chunk's fixed cost
+    # (Philox objects, a few KB), which dominates the small-lattice rows
+    lat = Lattice(s, n)
+    c0 = _uniform_start(lat)
+    reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, 2, 1))
+    run_chunks, chunks = sde._run_chunks, []
+
+    def measured(run, n_paths, row_bytes):
+        def wrapped(lo, hi):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(lo, hi)
+            chunks.append((hi - lo, tracemalloc.get_traced_memory()[1] - base, row_bytes))
+        run_chunks(wrapped, n_paths, row_bytes)
+
+    monkeypatch.setattr(sde, "_run_chunks", measured)
+    tracemalloc.start()
+    try:
+        for rows in (4, 12):
+            reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, rows, 1))
+    finally:
+        tracemalloc.stop()
+    (rows_a, peak_a, row_bytes), (rows_b, peak_b, _) = chunks
+    assert (peak_b - peak_a) / (rows_b - rows_a) <= row_bytes
+
+
 def test_reduced_two_site_chain_grows_like_original_process():
     # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
     # cancels the orbit mean curvature j2 = sigma'/4 = f/(2|f|^2) exactly, so the
