@@ -1,4 +1,4 @@
-"""Orbit geometry tour: orbit metric, sigma derivatives, connection, Jacobian.
+"""Orbit geometry tour: orbit metric, sigma derivatives, gauge maps, Jacobian.
 
 The scalar field alone shapes the orbit geometry: D = -(div o grad)
 + g0^2 |f~|^2 is the metric on a gauge orbit, log det D measures orbit
@@ -13,7 +13,8 @@ limit.
 import numpy as np
 
 from gaugereduce import (AdaptedCoords, FieldPair, Lattice, OrbitGeometry,
-                         killing_vector, orbit_metric, reduction_jacobian)
+                         faddeev_popov, killing_vector, orbit_metric,
+                         reduction_jacobian)
 
 rng = np.random.default_rng(2)
 
@@ -35,11 +36,18 @@ fd = (orbit_metric(lat, fp_, g0).logdet - orbit_metric(lat, fm_, g0).logdet) / (
 print(f"sigma_a at one slot: closed form {geo.grad_f[a, x]:+.10f}, "
       f"finite difference {fd:+.10f}")
 
-print("\n=== mechanical connection reproduces the gauge parameter ===")
-conn = geo.connection()
+print("\n=== mechanical connection, horizontal projection and N_f ===")
+print("(matrix-free maps of the geometry; its inverse Dinv is built once)")
 eps = lat.random_scalar(rng)
 kA, kf = killing_vector(lat, FieldPair(np.zeros((lat.dim, lat.n_sites)), f, g0), eps)
-print(f"|A(K(eps)) - eps|_max = {np.abs(conn.contract(kA, kf) - eps).max():.2e}")
+print(f"|A(K(eps)) - eps|_max = {np.abs(geo.connection(kA, kf) - eps).max():.2e}")
+vA, vf = lat.random_vector(rng), lat.random_doublet(rng)
+print(f"|A(horizontal(v))|_max = {np.abs(geo.connection(*geo.horizontal(vA, vf))).max():.2e}")
+# N_f carries a pure-gauge potential direction grad(eps) to minus the scalar
+# gauge direction, so the frame (P, N_f) kills K(eps) (eps off the kernel)
+eps_r = faddeev_popov(lat).range_projector() @ eps
+kA, kf = killing_vector(lat, FieldPair(np.zeros((lat.dim, lat.n_sites)), f, g0), eps_r)
+print(f"|N_f grad(eps) + g0 eps Jbar f|_max = {np.abs(geo.N_f(kA) + kf).max():.2e}")
 
 print("\n=== the hand-solvable two-site chain ===")
 lat2 = Lattice(1, 2)

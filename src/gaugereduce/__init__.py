@@ -11,14 +11,12 @@ and a dense backward-equation oracle for validating them.
 __version__ = "0.1.0"
 
 from .lattice import Lattice, LatticeSpec, MAX_DENSE_SITES, flat, unflat
-from .gauge import (JBAR, AdaptedCoords, FaddeevPopov, FieldPair,
-                    faddeev_popov, from_adapted, gauge_transform,
-                    killing_doublet_matrix, killing_vector, potential,
-                    projector_N, rotate, solve_gauge_parameter, to_adapted,
-                    transverse_projector)
-from .orbit import (HorizontalMetric, JacobianReport, MechanicalConnection,
-                    OrbitGeometry, OrbitMetric, SingularOrbitMetric,
-                    effective_potential, horizontal_metric, horizontal_project,
+from .gauge import (AdaptedCoords, FaddeevPopov, FieldPair, faddeev_popov,
+                    from_adapted, gauge_transform, killing_doublet_matrix,
+                    killing_vector, potential, projector_N, rotate,
+                    solve_gauge_parameter, to_adapted, transverse_projector)
+from .orbit import (HorizontalMetric, JacobianReport, OrbitGeometry, OrbitMetric,
+                    SingularOrbitMetric, effective_potential, horizontal_metric,
                     orbit_metric, reduced_drift, reduction_jacobian)
 from .sde import (EXPONENT_GUARD, SINGULARITY_FLOOR, FKEstimate, SDEConfig,
                   feynman_kac, girsanov_check, path_rng,

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-JBAR = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclass
 class FieldPair:

@@ -6,10 +6,10 @@ generators of the group action,
     D = K_A^T K_A + K_f^T K_f = -(div o grad) + diag(g0^2 |f~|^2),
 
 a V x V symmetric matrix, positive definite whenever f~ is nonzero enough to
-lift the derivative kernel.  Its inverse is the Green function entering the
-mechanical (Coulomb) connection
+lift the derivative kernel.  Its inverse is the Green function of the
+mechanical (Coulomb) connection, applied matrix-free to a tangent pair,
 
-    A_gauge(x, (j,y)) = d_j(y) Dinv(y, x),      A_scalar(x, (a,y)) = g0 Dinv(x, y) (Jbar f~)^a(y),
+    A(vA, vf) = Dinv (g0 <Jbar f~, vf> - div vA),
 
 whose defining property A(K(eps)) = eps holds to machine precision by
 construction.  The orbit volume enters through
@@ -26,7 +26,8 @@ j2 = 1/4 h sigma') and the reduction Jacobian
     J = -(1/8) mu^2 kappa * (laplace_term + grad_term / 4),
     laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a,   grad_term = h^ab sigma_a sigma_b,
 
-contract these with the horizontal metric h = blockdiag(P, I + N_f N_f^T).
+contract these with the horizontal metric h = blockdiag(P, I + N_f N_f^T),
+N_f = -g0 Jbar f~ o (green div) the frame map of potential into scalar noise.
 Two sitewise facts collapse every contraction to a closed form in Dinv:
 with u = g0 Jbar f~, f~ . u = 0 at each site, and P kills gradients.  So
 the potential-sector drift (its Christoffel part, j1 and j2) is
@@ -43,25 +44,25 @@ the scalar drift and the Laplace term are
 
 The potential-sector slots of sigma' and sigma'' vanish because D does not
 depend on the potential.
-:class:`OrbitGeometry` holds all of these pieces for one state, or for a
-stack of states: every function taking f~ accepts shape (..., 2, V) and
-returns its results with the same leading axes, one Cholesky factor and one
-matrix-vector product per state, so a state's result does not depend on how
-many states are stacked with it.
+:class:`OrbitGeometry` owns a state's factorization, inverse and gauge maps
+(connection, horizontal projection, N_f); :func:`orbit_metric` never
+inverts.  Every function taking f~ accepts a stack (..., 2, V) with one
+Cholesky factor and one matrix-vector product per state, so a state's
+result does not depend on how many states are stacked with it.
 
 log det D is the bare truncated value; no continuum regularization is
 applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
 done externally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .gauge import (faddeev_popov, from_adapted, green_divergence,
                     killing_doublet_matrix, potential, transverse_projector)
-from .lattice import unflat
+from .lattice import matvec
 
 
 class SingularOrbitMetric(Exception):
@@ -78,35 +79,13 @@ class SingularOrbitMetric(Exception):
 
 @dataclass
 class OrbitMetric:
-    """Orbit metric D, Cholesky factor and log-determinant; ``Dinv`` is built on
-    first read and kept, without cached_property's lock (class-wide before 3.12)."""
+    """Orbit metric D, its Cholesky factor and log-determinant; the inverse
+    belongs to :class:`OrbitGeometry`."""
 
     D: np.ndarray
     chol: np.ndarray     # lower-triangular factor, D = chol @ chol.T
     logdet: float
     n_sites: int
-    _Dinv: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def Dinv(self):
-        if self._Dinv is None:
-            chol_inv = np.linalg.inv(self.chol)
-            Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
-            self._Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
-        return self._Dinv
-
-
-@dataclass
-class MechanicalConnection:
-    """Blocks of the mechanical connection one-form."""
-
-    A_gauge: np.ndarray   # (V, sV)
-    A_scalar: np.ndarray  # (V, 2V)
-
-    def contract(self, vA, vf):
-        """Apply the connection to a tangent pair (vA, vf); returns (V,)."""
-        return self.A_gauge @ np.asarray(vA).reshape(-1) + \
-            self.A_scalar @ np.asarray(vf).reshape(-1)
 
 
 @dataclass
@@ -190,15 +169,6 @@ def orbit_metric(lat, f_tilde, g0):
     return OrbitMetric(D, chol, logdet, V)
 
 
-def horizontal_project(lat, conn, f_tilde, g0, vA, vf):
-    """Orthogonal projection of a tangent pair onto the horizontal subspace,
-    v - K(A(v)); the connection annihilates the result."""
-    w = conn.contract(vA, vf)
-    hA = np.asarray(vA, dtype=float).reshape(-1) - lat.gradient_matrix() @ w
-    hf = np.asarray(vf, dtype=float).reshape(-1) - killing_doublet_matrix(lat, f_tilde, g0) @ w
-    return unflat(hA, lat.dim, lat.n_sites), unflat(hf, 2, lat.n_sites)
-
-
 def horizontal_metric(lat, c, g0):
     """Adapted-coordinate metric blocks with pseudo-inverse blocks.
 
@@ -232,12 +202,11 @@ class OrbitGeometry:
     stack of them, shape (..., 2, V); every piece then carries the same
     leading axes.
 
-    Construction factorizes and inverts the orbit metric (``metric``), so a
-    degenerate orbit raises :class:`SingularOrbitMetric` here.  The pieces --
-    sigma' (``grad_f``), the Green-function terms diag W and w of the drift
-    and the Jacobian, the connection blocks and, only when read, sigma''
-    (``hess_ff``) -- are each built at most once per instance; the drift,
-    the Jacobian and the connection are reads of them.
+    Construction factorizes the orbit metric (``metric``) and inverts it once
+    (``Dinv``), so a degenerate orbit raises :class:`SingularOrbitMetric`
+    here.  The gauge maps apply matrix-free to tangent vectors; sigma'
+    (``grad_f``), the terms diag W and w of the drift and the Jacobian and,
+    only when read, sigma'' (``hess_ff``) are each built at most once.
     """
 
     def __init__(self, lat, f_tilde, g0):
@@ -245,34 +214,43 @@ class OrbitGeometry:
         self.f_tilde = lat.check_doublet(f_tilde, stacked=True)
         self.g0 = g0
         self.metric = orbit_metric(lat, self.f_tilde, g0)
-        self.metric.Dinv    # every piece reads it; built here, not under a property's lock
+        chol_inv = np.linalg.inv(self.metric.chol)
+        Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
+        self.Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
         self.jf = np.stack([self.f_tilde[..., 1, :], -self.f_tilde[..., 0, :]],
                            axis=-2)                                      # Jbar f~
         self.u2 = g0 ** 2 * (self.f_tilde[..., 0, :] ** 2 + self.f_tilde[..., 1, :] ** 2)  # |u|^2
         self.lead = self.f_tilde.shape[:-2]
 
-    @cached_property
-    def A_gauge(self):
-        """Gauge block of the connection, (..., V, sV)."""
-        return self.metric.Dinv @ self.lat.gradient_matrix().T
+    def connection(self, vA, vf):
+        """Mechanical connection Dinv (g0 <Jbar f~, vf> - div vA) of a tangent
+        pair, vA of shape (..., s, V) or (..., sV) and vf (..., 2, V); (..., V)."""
+        div_vA = matvec(self.lat.divergence_matrix(), np.reshape(vA, self.lead + (-1,)))
+        return matvec(self.Dinv, self.g0 * np.sum(self.jf * vf, axis=-2) - div_vA)
 
-    @cached_property
-    def A_scalar(self):
-        """Scalar block of the connection, (..., V, 2V)."""
-        V = self.lat.n_sites
-        blocks = self.metric.Dinv[..., :, None, :] * (self.g0 * self.jf)[..., None, :, :]
-        return blocks.reshape(self.lead + (V, 2 * V))
+    def horizontal(self, vA, vf):
+        """Orthogonal projection (vA - grad w, vf - g0 Jbar f~ w), w the connection
+        of (vA, vf), onto the horizontal subspace, in the shapes given."""
+        w = self.connection(vA, vf)
+        return (vA - matvec(self.lat.gradient_matrix(), w).reshape(np.shape(vA)),
+                vf - self.g0 * self.jf * w[..., None, :])
+
+    def N_f(self, vA):
+        """Frame map N_f vA = -g0 Jbar f~ (green div vA) of potential directions
+        into the scalar sector, vA as for :meth:`connection`; (..., 2, V)."""
+        gd = matvec(green_divergence(self.lat), np.reshape(vA, self.lead + (-1,)))
+        return -self.g0 * self.jf * gd[..., None, :]
 
     @cached_property
     def grad_f(self):
         """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (..., 2, V)."""
-        diag = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        diag = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
         return 2.0 * self.g0 ** 2 * self.f_tilde * diag[..., None, :]
 
     @cached_property
     def hess_ff(self):
         """sigma_ab(x, y), shape (..., 2V, 2V)."""
-        V, g0, Dinv = self.lat.n_sites, self.g0, self.metric.Dinv
+        V, g0, Dinv = self.lat.n_sites, self.g0, self.Dinv
         f = self.f_tilde.reshape(self.lead + (2 * V,))
         # the Dinv(x,y)^2 factor pairs the site indices of p=(a,x), q=(b,y)
         hess = -4.0 * g0 ** 4 * f[..., :, None] * f[..., None, :] * np.tile(Dinv ** 2, (2, 2))
@@ -289,21 +267,17 @@ class OrbitGeometry:
         """(diag W, w) with W = Dinv + Dinv diag(|u|^2) G, G = -green, and
         w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2: one V^3 product per state,
         and W itself is not kept."""
-        Dinv, u2 = self.metric.Dinv, self.u2
+        Dinv, u2 = self.Dinv, self.u2
         W = Dinv - Dinv @ (u2[..., :, None] * faddeev_popov(self.lat).green)
         return (np.diagonal(W, axis1=-2, axis2=-1).copy(),
                 np.sum(W * Dinv * u2[..., None, :], axis=-1))
-
-    def connection(self):
-        """Mechanical connection blocks from the orbit Green function."""
-        return MechanicalConnection(self.A_gauge, self.A_scalar)
 
     def drift(self):
         """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced
         dynamics, g0^2 f~ (d/2 - diag W + w/2), before the mu^2 kappa
         prefactor; shape (..., 2, V).  The potential-sector drift is
         identically zero."""
-        d = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        d = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
         diag_W, w = self._green_terms
         return self.g0 ** 2 * self.f_tilde * (0.5 * d - diag_W + 0.5 * w)[..., None, :]
 
@@ -313,7 +287,7 @@ class OrbitGeometry:
         and sigma'' are identically zero).  Fields are floats for one state
         and arrays over the leading axes for a stack."""
         u2 = self.u2
-        d = np.diagonal(self.metric.Dinv, axis1=-2, axis2=-1)
+        d = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
         G_xx = -np.diagonal(faddeev_popov(self.lat).green)
         diag_W, w = self._green_terms
         hess_term = np.sum(2.0 * d * (2.0 - 2.0 * u2 * d + u2 * G_xx), axis=-1)  # h^ab sigma_ab

@@ -32,12 +32,12 @@ import numpy as np
 
 from . import __version__
 from .gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
-                    gauge_transform, killing_vector, potential, projector_N,
-                    to_adapted, transverse_projector)
+                    gauge_transform, killing_vector, potential, to_adapted,
+                    transverse_projector)
 from .kolmogorov import compare, discretization_budget
 from .lattice import Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
-                    horizontal_project, orbit_metric, reduction_jacobian)
+                    orbit_metric)
 from .sde import (SDEConfig, _reduce_estimate, feynman_kac, girsanov_check,
                   path_rng, reduced_batch_diagnostics, worker_count)
 
@@ -226,10 +226,9 @@ class InvariantSample:
 
 
 def _frame_kills_gauge(x):
-    """(P, N_f) K(eps) = 0 for eps in range(Phi): P grad = 0, N_f grad eps = -g0 eps Jbar f."""
-    N_A, N_f = projector_N(x.lat, x.p.f, x.p.g0)
+    """(P, N_f) K(eps) = 0 for eps in range(Phi), with the reduced step's N_f."""
     kA, kf = killing_vector(x.lat, x.p, x.fp.range_projector() @ x.eps)
-    return max(np.abs(N_A @ flat(kA)).max(), np.abs(N_f @ flat(kA) + flat(kf)).max())
+    return max(np.abs(x.P @ flat(kA)).max(), np.abs(x.geo.N_f(kA) + kf).max())
 
 
 def _round_trip(x):
@@ -270,9 +269,9 @@ INVARIANTS = (
     ("pseudoinverse_identity", 1e-9,
      lambda x: horizontal_metric(x.lat, x.c, x.p.g0).pseudoinverse_residual()),
     ("connection_reproduction", 1e-9, lambda x: np.abs(
-        x.geo.connection().contract(*killing_vector(x.lat, x.p, x.eps)) - x.eps).max()),
-    ("connection_horizontality", 1e-9, lambda x: np.abs(x.geo.connection().contract(
-        *horizontal_project(x.lat, x.geo.connection(), x.p.f, x.p.g0, *x.tangent))).max()),
+        x.geo.connection(*killing_vector(x.lat, x.p, x.eps)) - x.eps).max()),
+    ("connection_horizontality", 1e-9, lambda x: np.abs(
+        x.geo.connection(*x.geo.horizontal(*x.tangent))).max()),
 )
 
 
@@ -307,13 +306,12 @@ def cmd_jacobian(config, field_path=None):
         f = data
     else:
         f = _field_from_source(config, lat)
-    c = AdaptedCoords(np.zeros((lat.dim, lat.n_sites)), f, np.zeros(lat.n_sites))
     header = ("f_mean_sq", "f_min_sq", "f_max_sq", "logdet", "laplace_term",
               "grad_term", "J", "V_correction", "status")
     f2 = f[0] ** 2 + f[1] ** 2
     try:
-        rep = reduction_jacobian(lat, c, g0, config["fields.mu"],
-                                 config["fields.kappa"], config["fields.m"])
+        rep = OrbitGeometry(lat, f, g0).jacobian(config["fields.mu"], config["fields.kappa"],
+                                                 config["fields.m"])
     except SingularOrbitMetric as exc:
         _write_csv(config, "jacobian", header,
                    [(f"{f2.mean():.12g}", f"{f2.min():.12g}", f"{f2.max():.12g}",

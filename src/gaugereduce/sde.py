@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import AdaptedCoords, green_divergence, transverse_projector
+from .gauge import AdaptedCoords, transverse_projector
 from .lattice import flat, matvec, unflat
 from .orbit import OrbitGeometry, SingularOrbitMetric
 
@@ -329,17 +329,17 @@ def _reduced_step(lat, g0, cfg):
     drift displacement mu^2 kappa dt |drift_f| exceeds |f~| at some site,
     since the Euler step has then left the scale on which the geometry was
     evaluated.  One stacked :class:`OrbitGeometry` of the going rows gives
-    the drift and the sitewise factor -g0 Jbar f~ of N_f, so
-    N_f dw_A = -g0 Jbar f~ (green div dw_A); A* has no drift, so one
-    projector application gives both the noise P dw_A and the re-projection
-    onto div(A*) = 0.  The geometry is local to the call, so it is freed
-    before the next step builds its own.
+    the drift and the scalar-sector noise N_f dw_A
+    (:meth:`~.orbit.OrbitGeometry.N_f`, the map ``check`` verifies); A* has
+    no drift, so one projector application gives both the noise P dw_A and
+    the re-projection onto div(A*) = 0.  The geometry is local to the call,
+    so it is freed before the next step builds its own.
     """
     s, V = lat.dim, lat.n_sites
     nA = s * V
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
-    P, green_div = transverse_projector(lat), green_divergence(lat)
+    P = transverse_projector(lat)
 
     def step(x, dw):
         A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
@@ -351,7 +351,7 @@ def _reduced_step(lat, g0, cfg):
             return x[keep], keep
         dw = dw[keep]
         move = pref * geo.drift()
-        NdwA = -g0 * geo.jf * matvec(green_div, dw[:, :nA])[:, None, :]
+        NdwA = geo.N_f(dw[:, :nA])
         new = np.empty((len(dw), s + 2, V))
         new[:, :s] = matvec(P, A[keep] + noise * dw[:, :nA]).reshape(-1, s, V)
         np.add(geo.f_tilde + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),

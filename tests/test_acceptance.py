@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve criteria, each printing one pass/fail line.
+"""Acceptance suite: thirteen criteria, each printing one pass/fail line.
 
 Run under pytest (``pytest tests/test_acceptance.py -v``) or directly
 (``python tests/test_acceptance.py``), which runs every ``test_criterion_*``
@@ -11,6 +11,7 @@ independent oracles.  Every other tolerance is pinned here.  The Monte Carlo
 criteria use fixed seeds, so reruns are bitwise reproducible.
 """
 
+import functools
 import inspect
 import math
 import os
@@ -19,14 +20,16 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gaugereduce.gauge import AdaptedCoords, FieldPair, faddeev_popov
+from gaugereduce import orbit
+from gaugereduce.gauge import AdaptedCoords, FieldPair, faddeev_popov, potential
 from gaugereduce.kolmogorov import compare, discretization_budget
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, orbit_metric, reduction_jacobian
 from gaugereduce.runner import INVARIANTS, InvariantSample, cmd_simulate, parse_config
 from gaugereduce.sde import (SDEConfig, feynman_kac, girsanov_check,
-                             weak_convergence_estimates)
+                             reduced_batch_diagnostics, weak_convergence_estimates)
 
 _ROWS = {name: (tol, residual) for name, tol, residual in INVARIANTS}
 _RESULTS = []
@@ -263,6 +266,93 @@ def test_criterion_12_determinism(tmp_path):
     _report(12, "byte-identical CSV across reruns and thread counts", identical,
             f"4 runs (threads 1,4,1,4) all {'identical' if identical else 'DIFFERENT'}, "
             f"{len(outputs[0][1])} bytes", time.time() - t0, 120.0)
+
+
+# criterion 13: the reduced process against the original on gauge invariants
+C13_LATTICES = ((1, 3), (1, 5), (2, 3))
+C13_G0, C13_T = 0.7, 0.3
+
+
+def _c13_observables(lat, A, f):
+    """potential(lat, .) and sum_x |f(x)|^4 of each row of (A, f), shapes (n, sV), (n, 2V)."""
+    s, V = lat.dim, lat.n_sites
+    pot = np.array([potential(lat, FieldPair(a.reshape(s, V), b.reshape(2, V), C13_G0))
+                    for a, b in zip(A, f)])
+    return {"potential": pot, "sum |f|^4": np.sum((f.reshape(-1, 2, V) ** 2).sum(axis=1) ** 2, axis=1)}
+
+
+def _mean_se(v):
+    """Mean and standard error; exactly rounded sums, so the order of v does not matter."""
+    m = math.fsum(v) / v.size
+    return m, math.sqrt(math.fsum((v - m) ** 2) / (v.size - 1) / v.size)
+
+
+@functools.lru_cache(maxsize=None)
+def _c13_original(k):
+    """(mean, se) of each observable for the original free diffusion from A = 0,
+    f = (1, 0): 8000 paths at dt = 2e-3 through feynman_kac's chunked
+    integrator, whose phi0 keeps each chunk's end states.  The original
+    process has no drift, so its Euler law is exact."""
+    lat = Lattice(*C13_LATTICES[k])
+    sV, V = lat.dim * lat.n_sites, lat.n_sites
+    x0 = np.concatenate([np.zeros(sV), np.ones(V), np.zeros(V)])
+    ends = []
+    feynman_kac(lambda x: ends.append(x.copy()) or np.ones(len(x)), None,
+                SDEConfig(1.0, 1.0, 2e-3, 150, 8000, 1350 + k), x0)
+    x = np.concatenate(ends)
+    return {name: _mean_se(v) for name, v in _c13_observables(lat, x[:, :sV], x[:, sV:]).items()}
+
+
+def _c13_rows():
+    """One row (lattice, observable, aborted, diff, band, z) per lattice and
+    observable: the reduced process from f~ = (1, 0), A* = 0 at dt = 2e-3,
+    2000 paths, against the original; band 4 sqrt(SE_red^2 + SE_orig^2)
+    plus the reduced dt bias |m(dt) - m(2 dt)|."""
+    rows = []
+    for k, (s, n) in enumerate(C13_LATTICES):
+        lat = Lattice(s, n)
+        V = lat.n_sites
+        c0 = AdaptedCoords(np.zeros((s, V)), np.stack([np.ones(V), np.zeros(V)]), np.zeros(V))
+        red, aborted = [], False
+        for dt in (2e-3, 4e-3):
+            cfg = SDEConfig(1.0, 1.0, dt, round(C13_T / dt), 2000, 1300 + k)
+            abort, ends = reduced_batch_diagnostics(lat, c0, C13_G0, cfg)
+            aborted = aborted or abort > 0
+            red.append(_c13_observables(lat, np.array([flat(c.A_star) for c in ends]),
+                                        np.array([flat(c.f_tilde) for c in ends])))
+        for name, (m0, se0) in _c13_original(k).items():
+            (m1, se1), (m2, _) = _mean_se(red[0][name]), _mean_se(red[1][name])
+            se = math.hypot(se1, se0)
+            rows.append(((s, n), name, aborted, m1 - m0, 4 * se + abs(m1 - m2), (m1 - m0) / se))
+    return rows
+
+
+def _c13_passes(row):
+    _, _, aborted, diff, band, _ = row
+    return not aborted and abs(diff) <= band
+
+
+def test_criterion_13_reduced_reproduces_original():
+    t0 = time.time()
+    rows = _c13_rows()
+    _report(13, "reduced process reproduces the original on gauge invariants",
+            all(_c13_passes(r) for r in rows),
+            "; ".join(f"{r[0]} {r[1]} z {r[5]:+.2f}{' aborts' if r[2] else ''}"
+                      f"{'' if _c13_passes(r) else ' FAIL'}" for r in rows),
+            time.time() - t0, 5.0)
+
+
+@pytest.mark.parametrize("mutation", ["without j2", "without Christoffel part"])
+def test_dropped_drift_term_fails_criterion_13(monkeypatch, mutation):
+    # criterion 13 detects a reduced drift missing the orbit mean curvature
+    # j2 = sigma'/4 or the Christoffel part drift - sigma'/4: Sigma |f|^4
+    # leaves its band on every lattice
+    drift = orbit.OrbitGeometry.drift
+    wrong = {"without j2": lambda self: drift(self) - self.grad_f / 4,
+             "without Christoffel part": lambda self: self.grad_f / 4}[mutation]
+    monkeypatch.setattr(orbit.OrbitGeometry, "drift", wrong)
+    failing = [(r[0], r[1]) for r in _c13_rows() if not _c13_passes(r)]
+    assert {lat for lat, name in failing if name == "sum |f|^4"} == set(C13_LATTICES)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 The expensive claims are all checked against independent routes: finite
 differences of log det D for the sigma derivatives, finite differences of
 the degenerate horizontal-metric blocks for the Christoffel contraction,
-explicit index loops for the block formulas, and the pre-derived two-site
-closed form for the reduction Jacobian.
+dense matrices for the matrix-free connection and N_f, an explicit index
+loop for j2, and the pre-derived two-site closed form for the reduction
+Jacobian.
 """
 
 import numpy as np
@@ -17,8 +18,7 @@ from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform,
                                transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
 from gaugereduce.orbit import (HorizontalMetric, OrbitGeometry, SingularOrbitMetric,
-                               effective_potential, horizontal_metric,
-                               horizontal_project, orbit_metric,
+                               effective_potential, horizontal_metric, orbit_metric,
                                reduced_drift, reduction_jacobian)
 
 
@@ -52,24 +52,32 @@ def test_orbit_metric_uniform_spectrum():
     assert_allclose(np.linalg.eigvalsh(om.D), base + g0 ** 2 * c, atol=1e-10)
 
 
-def test_orbit_metric_inverts_only_when_read(monkeypatch):
+def test_orbit_metric_never_inverts_geometry_inverts_once(monkeypatch):
+    # orbit_metric (and so the sigma' finite differences of `check`) is
+    # inverse-free; a geometry inverts once, and its maps only read Dinv
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(1) or inv(M))
     lat = Lattice(2, 3)
-    om = orbit_metric(lat, lat.random_doublet(np.random.default_rng(0)), 0.8)
+    rng = np.random.default_rng(0)
+    f = lat.random_doublet(rng)
+    om = orbit_metric(lat, f, 0.8)
     assert om.logdet == pytest.approx(np.linalg.slogdet(om.D)[1], abs=1e-12)
     assert len(calls) == 0
-    Dinv = om.Dinv
+    geo = OrbitGeometry(lat, f, 0.8)
     assert len(calls) == 1
-    assert om.Dinv is Dinv and len(calls) == 1
+    vA, vf = lat.random_vector(rng), lat.random_doublet(rng)
+    geo.connection(vA, vf), geo.horizontal(vA, vf), geo.N_f(vA)
+    geo.drift(), geo.jacobian(1.0, 1.0), geo.hess_ff
+    assert len(calls) == 1
 
 
 def test_orbit_metric_inverse_and_logdet():
     lat = Lattice(2, 3)
     rng = np.random.default_rng(0)
-    om = orbit_metric(lat, lat.random_doublet(rng), 0.8)
-    assert np.abs(om.D @ om.Dinv - np.eye(lat.n_sites)).max() <= 1e-10
+    geo = OrbitGeometry(lat, lat.random_doublet(rng), 0.8)
+    om = geo.metric
+    assert np.abs(om.D @ geo.Dinv - np.eye(lat.n_sites)).max() <= 1e-10
     assert np.abs(om.chol @ om.chol.T - om.D).max() <= 1e-12
     evals = np.linalg.eigvalsh(om.D)
     assert abs(om.logdet - np.sum(np.log(evals))) <= 1e-8
@@ -171,54 +179,71 @@ def test_connection_reproduces_gauge_parameter():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(4)
     f = lat.random_doublet(rng)
-    conn = OrbitGeometry(lat, f, 0.8).connection()
+    geo = OrbitGeometry(lat, f, 0.8)
     p = FieldPair(np.zeros((2, 16)), f, 0.8)
     for _ in range(5):
         eps = lat.random_scalar(rng)
         kA, kf = killing_vector(lat, p, eps)
-        assert np.abs(conn.contract(kA, kf) - eps).max() <= 1e-9
+        assert np.abs(geo.connection(kA, kf) - eps).max() <= 1e-9
 
 
-def test_connection_scalar_block_explicit_loop():
-    # A_scalar(x, (a,y)) = g0 * Dinv(x, y) * (Jbar f)^a(y), checked entrywise
-    lat = Lattice(1, 4)
-    rng = np.random.default_rng(5)
-    f = lat.random_doublet(rng)
+@pytest.mark.parametrize("s,n", [(1, 4), (2, 3)])
+def test_connection_matches_dense_blocks(s, n):
+    # the matrix-free connection of each unit tangent vector is the column of
+    # the dense one-form Dinv [grad^T | K_f^T], for one state and for every
+    # state of a stack with its own tangent vectors
+    lat = Lattice(s, n)
+    V, sV = lat.n_sites, lat.dim * lat.n_sites
+    rng = np.random.default_rng(5 + s)
+    fs = rng.standard_normal((3, 2, V))
     g0 = 0.7
-    geo = OrbitGeometry(lat, f, g0)
-    om, conn = geo.metric, geo.connection()
-    jf = np.stack([f[1], -f[0]])
-    V = lat.n_sites
-    for x in range(V):
-        for a in range(2):
-            for y in range(V):
-                assert conn.A_scalar[x, a * V + y] == pytest.approx(
-                    g0 * om.Dinv[x, y] * jf[a, y], abs=1e-13)
-
-
-def test_connection_gauge_block_is_green_derivative():
-    # A_gauge(x, (j,y)) = central difference in y of Dinv(., x)
-    lat = Lattice(2, 3)
-    rng = np.random.default_rng(6)
-    f = lat.random_doublet(rng)
-    geo = OrbitGeometry(lat, f, 0.8)
-    om, conn = geo.metric, geo.connection()
-    V = lat.n_sites
-    for x in range(V):
-        dcol = lat.gradient(om.Dinv[:, x])
-        for j in range(lat.dim):
-            assert_allclose(conn.A_gauge[x, j * V:(j + 1) * V], dcol[j], atol=1e-12)
+    vAs, vfs = rng.standard_normal((3, sV)), rng.standard_normal((3, 2, V))
+    stacked = OrbitGeometry(lat, fs, g0).connection(vAs, vfs)
+    unit = np.eye(sV + 2 * V)
+    for k in range(3):
+        geo = OrbitGeometry(lat, fs[k], g0)
+        dense = geo.Dinv @ np.hstack([lat.gradient_matrix().T,
+                                      killing_doublet_matrix(lat, fs[k], g0).T])
+        cols = np.stack([geo.connection(e[:sV], e[sV:].reshape(2, V)) for e in unit], axis=1)
+        assert np.abs(cols - dense).max() <= 1e-14 * np.abs(dense).max()
+        want = dense @ np.concatenate([vAs[k], flat(vfs[k])])
+        assert np.abs(stacked[k] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_connection_annihilates_horizontal_projection():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(7)
     f = lat.random_doublet(rng)
-    conn = OrbitGeometry(lat, f, 0.8).connection()
+    geo = OrbitGeometry(lat, f, 0.8)
     vA = lat.random_vector(rng)
     vf = lat.random_doublet(rng)
-    hA, hf = horizontal_project(lat, conn, f, 0.8, vA, vf)
-    assert np.abs(conn.contract(hA, hf)).max() <= 1e-9
+    hA, hf = geo.horizontal(vA, vf)
+    assert hA.shape == vA.shape and hf.shape == vf.shape
+    assert np.abs(geo.connection(hA, hf)).max() <= 1e-9
+    # the projection removes exactly a gauge direction K(w)
+    w = geo.connection(vA, vf)
+    kA, kf = killing_vector(lat, FieldPair(np.zeros_like(vA), f, 0.8), w)
+    assert_allclose(hA, vA - kA, rtol=0, atol=1e-13)
+    assert_allclose(hf, vf - kf, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 4), (3, 4)])
+def test_N_f_matches_dense_frame(s, n):
+    # geo.N_f is the dense N_f of projector_N applied to v, for one state and
+    # for a (3, 2, V) stack with one potential direction per state
+    lat = Lattice(s, n)
+    V, sV = lat.n_sites, lat.dim * lat.n_sites
+    rng = np.random.default_rng(60 + s)
+    fs = rng.standard_normal((3, 2, V))
+    vs = rng.standard_normal((3, sV))
+    _, dense = projector_N(lat, fs, 0.8)
+    stacked = OrbitGeometry(lat, fs, 0.8).N_f(vs)
+    assert stacked.shape == (3, 2, V)
+    for k in range(3):
+        want = dense[k] @ vs[k]
+        one = OrbitGeometry(lat, fs[k], 0.8).N_f(vs[k].reshape(lat.dim, V))
+        for got in (one, stacked[k]):
+            assert np.abs(flat(got) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +364,11 @@ def _fd_christoffel_contraction(lat, f, g0, d=1e-5):
     Kf0 = killing_doublet_matrix(lat, f, g0)
 
     def blocks(ff):
-        om = orbit_metric(lat, ff, g0)
+        Dinv = OrbitGeometry(lat, ff, g0).Dinv
         Kf = killing_doublet_matrix(lat, ff, g0)
-        g_AA = np.eye(sV) - G @ om.Dinv @ G.T
-        g_Af = -G @ om.Dinv @ Kf.T
-        g_ff = np.eye(n2V) - Kf @ om.Dinv @ Kf.T
+        g_AA = np.eye(sV) - G @ Dinv @ G.T
+        g_Af = -G @ Dinv @ Kf.T
+        g_ff = np.eye(n2V) - Kf @ Dinv @ Kf.T
         top = np.concatenate([g_AA, g_Af], axis=1)
         bot = np.concatenate([g_Af.T, g_ff], axis=1)
         return np.concatenate([top, bot], axis=0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugereduce import orbit, sde
+from gaugereduce import orbit, runner, sde
 from gaugereduce.gauge import AdaptedCoords, FieldPair, projector_N, transverse_projector
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift
@@ -208,9 +208,10 @@ def test_reduced_one_step_mean_is_drift(monkeypatch):
     assert np.abs(meanf - pref * drift_f).max() <= 1e-12
 
 
-def test_reduced_noise_block_structure(monkeypatch):
-    # f-sector noise is N_f dw_A + dw_f; an antithetic +-z pair cancels the
-    # drift, so half the difference of the two steps is the noise
+def _reduced_noise(monkeypatch):
+    """One antithetic pair of reduced steps: half their difference, which is
+    the noise (the drift cancels), against P dw_A and N_f dw_A + dw_f built
+    from the dense projector_N."""
     lat = Lattice(2, 3)
     rng = np.random.default_rng(4)
     f0 = rng.standard_normal((2, 9)) + 2.0
@@ -225,8 +226,31 @@ def test_reduced_noise_block_structure(monkeypatch):
     _, N_f = projector_N(lat, f0, g0)
     expA = P @ (cfg.mu * math.sqrt(cfg.kappa) * dw[:18])
     expf = cfg.mu * math.sqrt(cfg.kappa) * (N_f @ dw[:18] + dw[18:])
-    assert_allclose(0.5 * (flat(cp.A_star) - flat(cm.A_star)), expA, atol=1e-14)
-    assert_allclose(0.5 * (flat(cp.f_tilde) - flat(cm.f_tilde)), expf, atol=1e-14)
+    return (0.5 * (flat(cp.A_star) - flat(cm.A_star)), expA,
+            0.5 * (flat(cp.f_tilde) - flat(cm.f_tilde)), expf)
+
+
+def test_reduced_noise_block_structure(monkeypatch):
+    # f-sector noise is N_f dw_A + dw_f; A* noise is P dw_A
+    gotA, expA, gotf, expf = _reduced_noise(monkeypatch)
+    assert_allclose(gotA, expA, atol=1e-14)
+    assert_allclose(gotf, expf, atol=1e-14)
+
+
+def test_flipped_N_f_fails_check_and_noise_structure(monkeypatch, tmp_path):
+    # the reduced step and `check` read the same OrbitGeometry.N_f, so a sign
+    # error in it fails the frame row of `check` and the noise structure
+    N_f = orbit.OrbitGeometry.N_f
+    monkeypatch.setattr(orbit.OrbitGeometry, "N_f", lambda self, vA: -N_f(self, vA))
+    config = runner.parse_config(f"lattice.dim = 2\nlattice.sites_per_dim = 4\n"
+                                 f"fields.g0 = 0.8\noutput_dir = {tmp_path}\n")
+    assert runner.cmd_check(config) == 1
+    rows = (tmp_path / "check.csv").read_text().splitlines()[2:]
+    assert {r.split(",")[0] for r in rows if r.endswith("fail")} == \
+        {"projector_N_kills_gauge_directions"}
+    gotA, expA, gotf, expf = _reduced_noise(monkeypatch)
+    assert_allclose(gotA, expA, atol=1e-14)
+    assert np.abs(gotf - expf).max() > 1e-3 * np.abs(expf).max()
 
 
 def test_reduced_step_builds_one_geometry(monkeypatch):
