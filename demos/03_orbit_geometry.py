@@ -12,9 +12,8 @@ limit.
 
 import numpy as np
 
-from gaugereduce import (AdaptedCoords, FieldPair, Lattice, OrbitGeometry,
-                         faddeev_popov, killing_vector, orbit_metric,
-                         reduction_jacobian)
+from gaugereduce import (FieldPair, Lattice, OrbitGeometry, faddeev_popov,
+                         killing_vector, orbit_metric)
 
 rng = np.random.default_rng(2)
 
@@ -54,8 +53,7 @@ lat2 = Lattice(1, 2)
 mu, kappa = 1.0, 1.0
 c_val = 1.3
 ff = np.stack([np.full(2, np.sqrt(c_val)), np.zeros(2)])
-cc = AdaptedCoords(np.zeros((1, 2)), ff, np.zeros(2))
-rep = reduction_jacobian(lat2, cc, g0, mu, kappa)
+rep = OrbitGeometry(lat2, ff, g0).jacobian(mu, kappa)
 print(f"uniform |f|^2 = {c_val}: J = {rep.J:.12f}, closed form mu^2 kappa/(4c) = {mu**2*kappa/(4*c_val):.12f}")
 
 print("\n=== the small-orbit singularity ===")
@@ -65,7 +63,6 @@ print("singular behaviour that dominates the reduction:")
 lat3 = Lattice(2, 3)
 fbase = lat3.random_doublet(rng)
 for lam in (1.0, 0.3, 0.1, 0.03):
-    c3 = AdaptedCoords(np.zeros((2, 9)), lam * fbase, np.zeros(9))
-    r = reduction_jacobian(lat3, c3, g0, mu, kappa)
+    r = OrbitGeometry(lat3, lam * fbase, g0).jacobian(mu, kappa)
     print(f"  lam = {lam:5.2f}:  J = {r.J:12.4f}   lam^2 J = {lam**2*r.J:9.4f}")
 print("(lam^2 J approaches a constant: the divergence is exactly quadratic)")

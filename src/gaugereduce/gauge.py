@@ -95,9 +95,10 @@ def faddeev_popov(lat):
 
 
 def rotate(f, theta):
-    """Sitewise rotation of a doublet by angle(s) theta."""
+    """Sitewise rotation of a doublet (..., 2, V) by angle(s) theta."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([c * f[0] + s * f[1], -s * f[0] + c * f[1]])
+    f1, f2 = f[..., 0, :], f[..., 1, :]
+    return np.stack([c * f1 + s * f2, -s * f1 + c * f2], axis=-2)
 
 
 def gauge_transform(lat, p, eps):
@@ -203,26 +204,28 @@ def potential(lat, p, v0=None):
     link-transported scalar derivative (module docstring).  ``v0``, if given,
     is called as ``v0(A, f)`` with the full (s, V) and (2, V) arrays and must
     return sitewise values, shape (V,); gauge invariance of the total
-    requires v0 to be built from sitewise invariants such as |f|^2.
+    requires v0 to be built from sitewise invariants such as |f|^2.  Stacks
+    A (..., s, V), f (..., 2, V) give each state's value, bitwise as alone.
     """
-    A = lat.check_vector(p.A)
-    f = lat.check_doublet(p.f)
-    h = lat.spacing
-    s = lat.dim
+    f = lat.check_doublet(p.f, stacked=True)
+    A = np.asarray(p.A, dtype=float)
+    if A.shape != f.shape[:-2] + (lat.dim, lat.n_sites):
+        raise ValueError(f"vector field {A.shape} does not match the doublet {f.shape}")
+    h, s, inv = lat.spacing, lat.dim, 0.5 / lat.spacing
     total = 0.0
     # field-strength term; antisymmetric in (i, j), sum over all ordered pairs
-    grads = [lat.gradient(A[j]) for j in range(s)]
+    grads = [(A.take(p_, axis=-1) - A.take(m_, axis=-1)) * inv    # grads[i][..., j, :] = d_i A_j
+             for p_, m_ in zip(lat._plus, lat._minus)]
     for i in range(s):
         for j in range(i + 1, s):
-            Fij = grads[j][i] - grads[i][j]
-            total += 0.5 * np.sum(Fij ** 2)
+            Fij = grads[i][..., j, :] - grads[j][..., i, :]
+            total += 0.5 * np.sum(Fij ** 2, axis=-1)
     # covariant kinetic term with midpoint link transport
     for i in range(s):
-        theta = p.g0 * h * A[i]
-        fp_ = f[:, lat._plus[i]]
-        fm_ = f[:, lat._minus[i]]
-        E = (rotate(fp_, -theta) - rotate(fm_, theta)) / (2.0 * h)
-        total += 0.5 * np.sum(E ** 2)
+        theta = p.g0 * h * A[..., i, :]
+        E = (rotate(f[..., lat._plus[i]], -theta)
+             - rotate(f[..., lat._minus[i]], theta)) / (2.0 * h)
+        total += 0.5 * np.sum(E ** 2, axis=(-2, -1))
     if v0 is not None:
-        total += float(np.sum(v0(A, f)))
-    return float(total * h ** s)
+        total += np.sum(v0(A, f), axis=-1)
+    return float(total * h ** s) if f.ndim == 2 else total * h ** s

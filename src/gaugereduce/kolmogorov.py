@@ -34,24 +34,13 @@ class GridPDE:
 
     dof: int
     points_per_dof: int
-    halfwidth: float
-    mu: float
-    kappa: float
     axis: np.ndarray           # 1-d node coordinates, shared by all dofs
     nodes: np.ndarray          # (n_nodes, dof) coordinates
     generator: scipy.sparse.csr_matrix
-    v_diag: np.ndarray
 
     @property
     def spacing(self):
         return self.axis[1] - self.axis[0]
-
-
-@dataclass
-class EvolveResult:
-    psi: np.ndarray
-    boundary_mass: float
-    flagged: bool
 
 
 @dataclass
@@ -72,7 +61,7 @@ def build_generator(v, dof, points_per_dof, halfwidth, mu, kappa):
     if dof < 1 or dof > MAX_DOF:
         raise ValueError(f"oracle is desk-scale by design: dof must be 1..{MAX_DOF}")
     if points_per_dof < 3:
-        raise ValueError("need at least 3 grid points per dof")
+        raise ValueError(f"need at least 3 grid points per dof, got {points_per_dof}")
     axis = np.linspace(-halfwidth, halfwidth, points_per_dof)
     h = axis[1] - axis[0]
     g = points_per_dof
@@ -91,32 +80,16 @@ def build_generator(v, dof, points_per_dof, halfwidth, mu, kappa):
     nodes = np.stack([g_.ravel() for g_ in grids], axis=1)
     v_diag = np.asarray(v(nodes), dtype=float)
     gen = 0.5 * mu ** 2 * kappa * lap + scipy.sparse.diags(v_diag / (mu ** 2 * kappa))
-    return GridPDE(dof, points_per_dof, halfwidth, mu, kappa, axis, nodes,
-                   gen.tocsr(), v_diag)
+    return GridPDE(dof, points_per_dof, axis, nodes, gen.tocsr())
 
 
 def evolve(pde, phi0_grid, T):
-    """psi = exp(T * generator) phi0, with a boundary-leak diagnostic.
-
-    boundary_mass is the |psi| share carried by the outermost node shell;
-    above 1e-3 the result is flagged as boundary-limited.
-    """
+    """psi = exp(T * generator) phi0 on the grid."""
     if T < 0:
         raise ValueError("T must be nonnegative")
     if T == 0:
-        return EvolveResult(np.array(phi0_grid, dtype=float), 0.0, False)
-    psi = expm_multiply(pde.generator * T, np.asarray(phi0_grid, dtype=float))
-    shell = np.zeros(pde.points_per_dof, dtype=bool)
-    shell[0] = shell[-1] = True
-    mask = np.zeros((pde.points_per_dof,) * pde.dof, dtype=bool)
-    for m in range(pde.dof):
-        idx = [slice(None)] * pde.dof
-        idx[m] = shell
-        mask[tuple(idx)] = True
-    total = float(np.sum(np.abs(psi)))
-    boundary = float(np.sum(np.abs(psi)[mask.ravel()]))
-    frac = boundary / total if total > 0 else 0.0
-    return EvolveResult(psi, frac, frac > 1e-3)
+        return np.array(phi0_grid, dtype=float)
+    return expm_multiply(pde.generator * T, np.asarray(phi0_grid, dtype=float))
 
 
 def value_at(pde, psi, x0):
@@ -149,17 +122,18 @@ def value_at(pde, psi, x0):
 def solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth):
     """Convenience: build, evolve and interpolate in one call."""
     pde = build_generator(v, dof, points_per_dof, halfwidth, mu, kappa)
-    res = evolve(pde, phi0(pde.nodes), T)
-    return value_at(pde, res.psi, x0), res
+    return value_at(pde, evolve(pde, phi0(pde.nodes), T), x0)
 
 
 def discretization_budget(v, phi0, x0, T, mu, kappa, dof, points_per_dof,
                           halfwidth):
     """Richardson error budget: solve at two resolutions, bound the
-    remaining O(h^2) error of the finer one by (4/3)|v_fine - v_coarse|."""
-    fine, _ = solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth)
-    coarse_pts = points_per_dof // 2 + 1
-    coarse, _ = solve_value(v, phi0, x0, T, mu, kappa, dof, coarse_pts, halfwidth)
+    remaining O(h^2) error of the finer one by (4/3)|v_fine - v_coarse|.
+    Bad input raises ValueError before any solve: the coarse grid goes first."""
+    if not np.all(np.abs(x0) <= halfwidth):
+        raise ValueError(f"point {x0} lies outside the grid box [-{halfwidth}, {halfwidth}]")
+    coarse = solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof // 2 + 1, halfwidth)
+    fine = solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth)
     return fine, abs(fine - coarse) * 4.0 / 3.0
 
 

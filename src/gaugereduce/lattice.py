@@ -10,15 +10,12 @@ and spacing ``h``.  Fields live on sites:
 
 Derivatives are central differences with periodic wrap, so the gradient and
 minus-divergence are exact adjoints under the site inner product
-``h**s * sum(u * v)``.  Two distinct second-order operators appear:
-
-* ``laplacian`` / ``laplacian_matrix`` -- the standard 2s-point stencil,
-  symmetric negative semidefinite with kernel exactly the constants;
-* ``fp_matrix`` -- the composition divergence o gradient of the central
-  differences.  The two are NOT equal on the lattice.  The composition is
-  the one consistent with the gauge-fixing machinery (see :mod:`.gauge`);
-  on lattices with even N its kernel also contains the 2**s - 1 staggered
-  (checkerboard) modes, the usual doubling artifact of central differences.
+``h**s * sum(u * v)``.  The second-order operator is ``fp_matrix``, the
+composition divergence o gradient of the central differences, the one
+consistent with the gauge-fixing machinery (see :mod:`.gauge`).  It is not
+the 2s-point stencil: on lattices with even N its kernel contains, besides
+the constants, the 2**s - 1 staggered (checkerboard) modes, the usual
+doubling artifact of central differences (``zero_mode_basis``).
 
 Operator matrices are stored dense; this is a desk-scale verification tool,
 and assembly refuses lattices with more than ``MAX_DENSE_SITES`` sites.
@@ -129,7 +126,7 @@ class Lattice:
     def divergence(self, v):
         """Central-difference divergence of a vector field, shape (V,).
 
-        Exact negative adjoint of :meth:`gradient` under :meth:`inner`.
+        Exact negative adjoint of :meth:`gradient` under the site inner product.
         """
         v = self.check_vector(v)
         inv = 0.5 / self.spacing
@@ -137,22 +134,6 @@ class Lattice:
         for m, (p, mn) in enumerate(zip(self._plus, self._minus)):
             out += (v[m][p] - v[m][mn]) * inv
         return out
-
-    def laplacian(self, u):
-        """2s-point stencil Laplacian of a scalar field."""
-        u = self.check_scalar(u)
-        out = -2.0 * self.dim * u.copy()
-        for p, mn in zip(self._plus, self._minus):
-            out += u[p] + u[mn]
-        return out / self.spacing ** 2
-
-    def inner(self, u, v):
-        """Site inner product ``h**s * sum(u * v)``; kinds must match."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.shape != v.shape:
-            raise ValueError(f"field kind mismatch: {u.shape} vs {v.shape}")
-        return float(self.spacing ** self.dim * np.sum(u * v))
 
     # ------------------------------------------------------------------
     # dense operator matrices (flattened field layout: index = m*V + x)
@@ -187,18 +168,6 @@ class Lattice:
         if "div" not in self._cache:
             self._cache["div"] = np.hstack(self._difference_matrices())
         return self._cache["div"]
-
-    def laplacian_matrix(self):
-        """Dense (V x V) 2s-stencil Laplacian; symmetric, kernel = constants."""
-        if "lap" not in self._cache:
-            self._require_dense()
-            V = self.n_sites
-            M = -2.0 * self.dim * np.eye(V)
-            for p, mn in zip(self._plus, self._minus):
-                M[np.arange(V), p] += 1.0
-                M[np.arange(V), mn] += 1.0
-            self._cache["lap"] = M / self.spacing ** 2
-        return self._cache["lap"]
 
     def fp_matrix(self):
         """Composition divergence o gradient (V x V), symmetric NSD.

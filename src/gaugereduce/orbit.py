@@ -60,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gauge import (faddeev_popov, from_adapted, green_divergence,
-                    killing_doublet_matrix, potential, transverse_projector)
+from .gauge import (faddeev_popov, green_divergence, killing_doublet_matrix,
+                    transverse_projector)
 from .lattice import matvec
 
 
@@ -304,14 +304,3 @@ def reduced_drift(lat, c, g0):
     drift_A is an exact zero (s, V) field and drift_f is
     :meth:`OrbitGeometry.drift`."""
     return np.zeros((lat.dim, lat.n_sites)), OrbitGeometry(lat, c.f_tilde, g0).drift()
-
-
-def reduction_jacobian(lat, c, g0, mu, kappa, m=1.0):
-    """Reduction Jacobian at c, see :meth:`OrbitGeometry.jacobian`."""
-    return OrbitGeometry(lat, c.f_tilde, g0).jacobian(mu, kappa, m)
-
-
-def effective_potential(lat, c, g0, mu, kappa, m=1.0, v0=None):
-    """Potential on the gauge surface plus the reduction correction."""
-    rep = reduction_jacobian(lat, c, g0, mu, kappa, m)
-    return potential(lat, from_adapted(lat, c, g0), v0) + rep.V_correction

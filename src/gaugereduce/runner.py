@@ -35,7 +35,7 @@ from .gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
                     gauge_transform, killing_vector, potential, to_adapted,
                     transverse_projector)
 from .kolmogorov import compare, discretization_budget
-from .lattice import Lattice, LatticeSpec, flat
+from .lattice import MAX_DENSE_SITES, Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
                     orbit_metric)
 from .sde import (SDEConfig, _reduce_estimate, feynman_kac, girsanov_check,
@@ -93,9 +93,8 @@ _CHOICES = {
 class ExperimentConfig:
     """Validated flat configuration; values accessible by dotted key."""
 
-    def __init__(self, values, text, explicit=frozenset()):
+    def __init__(self, values, explicit=frozenset()):
         self.values = values
-        self.text = text
         self.explicit = explicit     # keys set in the text, not defaulted
 
     def __getitem__(self, key):
@@ -110,6 +109,13 @@ class ExperimentConfig:
         return Lattice(LatticeSpec(self["lattice.dim"],
                                    self["lattice.sites_per_dim"],
                                    self["lattice.spacing"]))
+
+    def dense_lattice(self):
+        """The lattice of a command that builds dense operators, refused above the cap."""
+        lat = self.lattice()
+        if lat.n_sites > MAX_DENSE_SITES:
+            raise ConfigError(f"dense operators refused for V={lat.n_sites} > {MAX_DENSE_SITES}")
+        return lat
 
     def sde(self):
         return SDEConfig(self["fields.mu"], self["fields.kappa"],
@@ -154,7 +160,7 @@ def parse_config(text):
                     values["lattice.spacing"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(values, text, frozenset(explicit))
+    return ExperimentConfig(values, frozenset(explicit))
 
 
 def load_config(path):
@@ -283,7 +289,7 @@ def cmd_check(config):
     """Evaluate every row of :data:`INVARIANTS` on one sample drawn from the
     (sde.seed, 0) stream -- eps, A, f, then the tangent pair -- and write one
     CSV row per invariant; exit code 1 if any row fails."""
-    lat = config.lattice()
+    lat = config.dense_lattice()
     rng = path_rng(config["sde.seed"], 0)
     eps = lat.random_scalar(rng)
     p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), config["fields.g0"])
@@ -297,7 +303,7 @@ def cmd_check(config):
 
 def cmd_jacobian(config, field_path=None):
     """Reduction Jacobian for a generated or file-loaded scalar field."""
-    lat = config.lattice()
+    lat = config.dense_lattice()
     g0 = config["fields.g0"]
     if field_path is not None:
         dim, n, kind, data = read_field_file(field_path)
@@ -343,7 +349,7 @@ def _v_fn(config, lat):
 
 def cmd_simulate(config):
     """Feynman-Kac estimate over the configured process; CSV with diagnostics."""
-    lat = config.lattice()
+    lat = config.dense_lattice() if config["sde.process"] == "reduced" else config.lattice()
     cfg = config.sde()
     g0 = config["fields.g0"]
     header = ("process", "mean", "std_error", "n_paths", "n_flagged",
@@ -383,10 +389,13 @@ def cmd_compare_oracle(config):
         x0 = np.full(dof, config["oracle.x0"])
         v = lambda x: -0.5 * omega ** 2 * np.sum(x ** 2, axis=1)
         phi0 = lambda x: np.ones(x.shape[0])
+        try:    # the oracle's caps refuse before any solve, so before any path
+            pde_val, budget = discretization_budget(
+                v, phi0, x0, cfg.horizon, mu, kappa, dof,
+                config["oracle.grid_points"], config["oracle.halfwidth"])
+        except ValueError as exc:
+            raise ConfigError(f"oracle: {exc}") from None
         est = feynman_kac(phi0, v, cfg, x0)
-        pde_val, budget = discretization_budget(
-            v, phi0, x0, cfg.horizon, mu, kappa, dof,
-            config["oracle.grid_points"], config["oracle.halfwidth"])
         verdict = compare(est, pde_val, budget)
         _write_csv(config, "compare_oracle", header,
                    [("mehler", f"{verdict.mc_mean:.12g}", f"{verdict.mc_std_error:.12g}",

@@ -26,7 +26,7 @@ from gaugereduce import orbit
 from gaugereduce.gauge import AdaptedCoords, FieldPair, faddeev_popov, potential
 from gaugereduce.kolmogorov import compare, discretization_budget
 from gaugereduce.lattice import Lattice, flat
-from gaugereduce.orbit import OrbitGeometry, orbit_metric, reduction_jacobian
+from gaugereduce.orbit import OrbitGeometry, orbit_metric
 from gaugereduce.runner import INVARIANTS, InvariantSample, cmd_simulate, parse_config
 from gaugereduce.sde import (SDEConfig, feynman_kac, girsanov_check,
                              reduced_batch_diagnostics, weak_convergence_estimates)
@@ -154,8 +154,7 @@ def test_criterion_08_jacobian_oracle():
     mu, kappa, g0 = 1.1, 0.8, 0.63
     c_val = 0.6 ** 2 + 0.9 ** 2
     f = np.stack([np.full(2, 0.6), np.full(2, -0.9)])
-    cc = AdaptedCoords(np.zeros((1, 2)), f, np.zeros(2))
-    rep = reduction_jacobian(lat, cc, g0, mu, kappa)
+    rep = OrbitGeometry(lat, f, g0).jacobian(mu, kappa)
     expected = mu ** 2 * kappa / (4 * c_val)
     rel = abs(rep.J - expected) / abs(expected)
     _report(8, "two-site Jacobian oracle", rel <= 1e-10,
@@ -276,8 +275,7 @@ C13_G0, C13_T = 0.7, 0.3
 def _c13_observables(lat, A, f):
     """potential(lat, .) and sum_x |f(x)|^4 of each row of (A, f), shapes (n, sV), (n, 2V)."""
     s, V = lat.dim, lat.n_sites
-    pot = np.array([potential(lat, FieldPair(a.reshape(s, V), b.reshape(2, V), C13_G0))
-                    for a, b in zip(A, f)])
+    pot = potential(lat, FieldPair(A.reshape(-1, s, V), f.reshape(-1, 2, V), C13_G0))
     return {"potential": pot, "sum |f|^4": np.sum((f.reshape(-1, 2, V) ** 2).sum(axis=1) ** 2, axis=1)}
 
 

@@ -168,7 +168,7 @@ def test_killing_orthogonality_after_projection():
     v = (P @ flat(lat.random_vector(rng))).reshape(lat.dim, lat.n_sites)
     for _ in range(5):
         eps = lat.random_scalar(rng)
-        assert abs(lat.inner(v, lat.gradient(eps))) <= 1e-10
+        assert abs(lat.spacing ** lat.dim * np.sum(v * lat.gradient(eps))) <= 1e-10
 
 
 def test_projector_N_blocks():
@@ -247,6 +247,27 @@ def test_potential_field_strength_independent_loop():
                 djAi = (A[i][tab[x, j, 0]] - A[i][tab[x, j, 1]]) / (2 * h)
                 total += 0.25 * (diAj - djAi) ** 2
     assert potential(lat, p) == pytest.approx(total * h ** lat.dim, rel=1e-12)
+
+
+@pytest.mark.parametrize("s,n,h", [(1, 5, 0.5), (2, 4, 1.0), (3, 3, 1.3)])
+def test_potential_stack_matches_single_states(s, n, h):
+    # a stack (3, 2, ...) of configurations gives each state's single-state
+    # value bitwise, also with a sitewise v0; mismatched stacks are refused
+    lat = Lattice(s, n, h)
+    rng = np.random.default_rng(18)
+    A = rng.standard_normal((3, 2, s, lat.n_sites))
+    f = rng.standard_normal((3, 2, 2, lat.n_sites))
+    v0 = lambda A, f: 0.3 * (f[..., 0, :] ** 2 + f[..., 1, :] ** 2) ** 2
+    for pot in (None, v0):
+        stacked = potential(lat, FieldPair(A, f, 0.8), pot)
+        single = [[potential(lat, FieldPair(A[i, k], f[i, k], 0.8), pot) for k in range(2)]
+                  for i in range(3)]
+        assert stacked.shape == (3, 2)
+        assert np.array_equal(stacked, np.array(single))
+    with pytest.raises(ValueError):
+        potential(lat, FieldPair(A[:2], f, 0.8))
+    with pytest.raises(ValueError):
+        potential(lat, FieldPair(A[0, 0, :, 1:], f[0, 0], 0.8))
 
 
 def test_potential_spacing_and_v0():

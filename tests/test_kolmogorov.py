@@ -58,8 +58,8 @@ def test_grid_eigenvalues_match_dirichlet_formula():
 def test_evolve_time_zero_is_identity():
     pde = build_generator(ZERO_V, 1, 21, 3.0, 1.0, 1.0)
     phi0 = np.exp(-pde.nodes[:, 0] ** 2)
-    res = evolve(pde, phi0, 0.0)
-    assert_allclose(res.psi, phi0, atol=0)
+    psi = evolve(pde, phi0, 0.0)
+    assert_allclose(psi, phi0, atol=0)
 
 
 def test_heat_kernel_closed_form():
@@ -67,8 +67,7 @@ def test_heat_kernel_closed_form():
     mu, kappa, T, s2 = 1.0, 1.0, 0.4, 0.3
     phi0 = lambda x: np.exp(-np.sum(x ** 2, axis=1) / (2 * s2))
     for x0 in (0.0, 0.7):
-        val, res = solve_value(ZERO_V, phi0, np.array([x0]), T, mu, kappa, 1, 481, 6.0)
-        assert not res.flagged
+        val = solve_value(ZERO_V, phi0, np.array([x0]), T, mu, kappa, 1, 481, 6.0)
         assert abs(val - heat_value(np.array([x0]), s2, mu ** 2 * kappa, T)) <= 1e-4
 
 
@@ -76,8 +75,7 @@ def test_mehler_closed_form_1dof():
     omega, T = 1.0, 0.5
     v = lambda x: -0.5 * omega ** 2 * np.sum(x ** 2, axis=1)
     phi0 = lambda x: np.ones(x.shape[0])
-    val, res = solve_value(v, phi0, np.array([0.3]), T, 1.0, 1.0, 1, 401, 6.0)
-    assert not res.flagged
+    val = solve_value(v, phi0, np.array([0.3]), T, 1.0, 1.0, 1, 401, 6.0)
     assert abs(val - mehler_value(np.array([0.3]), omega, 1.0, T)) <= 1e-3
 
 
@@ -86,8 +84,7 @@ def test_mehler_closed_form_2dof_gaussian_phi0():
     v = lambda x: -0.5 * omega ** 2 * np.sum(x ** 2, axis=1)
     phi0 = lambda x: np.exp(-0.5 * alpha * np.sum(x ** 2, axis=1))
     x0 = np.array([0.2, -0.4])
-    val, res = solve_value(v, phi0, x0, T, 1.0, 1.0, 2, 101, 5.0)
-    assert not res.flagged
+    val = solve_value(v, phi0, x0, T, 1.0, 1.0, 2, 101, 5.0)
     assert abs(val - mehler_value(x0, omega, 1.0, T, alpha)) <= 1e-3
 
 
@@ -96,9 +93,9 @@ def test_sub_markov_bounds():
     v = lambda x: -np.sum(x ** 2, axis=1)
     pde = build_generator(v, 1, 101, 4.0, 1.0, 1.0)
     phi0 = 0.5 * (1.0 + np.tanh(pde.nodes[:, 0]))
-    res = evolve(pde, phi0, 0.7)
-    assert res.psi.min() >= -1e-12
-    assert res.psi.max() <= 1.0 + 1e-12
+    psi = evolve(pde, phi0, 0.7)
+    assert psi.min() >= -1e-12
+    assert psi.max() <= 1.0 + 1e-12
 
 
 def test_richardson_slope_two():
@@ -110,20 +107,12 @@ def test_richardson_slope_two():
     exact = mehler_value(x0, omega, 1.0, T)
     errs = []
     for g in (51, 101, 201):
-        val, _ = solve_value(v, phi0, x0, T, 1.0, 1.0, 1, g, 5.0)
+        val = solve_value(v, phi0, x0, T, 1.0, 1.0, 1, g, 5.0)
         errs.append(abs(val - exact))
     s1 = math.log2(errs[0] / errs[1])
     s2 = math.log2(errs[1] / errs[2])
     assert abs(s1 - 2.0) <= 0.3
     assert abs(s2 - 2.0) <= 0.3
-
-
-def test_boundary_leak_flagged():
-    # box far too small for the diffusion: mass reaches the boundary shell
-    phi0 = lambda x: np.exp(-np.sum(x ** 2, axis=1))
-    val, res = solve_value(ZERO_V, phi0, np.array([0.0]), 1.0, 1.0, 1.0, 1, 41, 1.5)
-    assert res.flagged
-    assert res.boundary_mass > 1e-3
 
 
 def test_value_at_interpolation():

@@ -13,13 +13,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform,
-                               killing_doublet_matrix, killing_vector,
-                               potential, projector_N, to_adapted,
-                               transverse_projector)
+                               killing_doublet_matrix, killing_vector, potential,
+                               projector_N, to_adapted, transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
 from gaugereduce.orbit import (HorizontalMetric, OrbitGeometry, SingularOrbitMetric,
-                               effective_potential, horizontal_metric, orbit_metric,
-                               reduced_drift, reduction_jacobian)
+                               horizontal_metric, orbit_metric, reduced_drift)
 
 
 def adapted(lat, f):
@@ -474,7 +472,6 @@ def test_scaling_covariance():
     rng = np.random.default_rng(12)
     f = lat.random_doublet(rng)
     g0, lam = 0.8, 1.7
-    c1, c2 = adapted(lat, f), adapted(lat, lam * f)
     geo1 = OrbitGeometry(lat, f, g0)
     geo2 = OrbitGeometry(lat, lam * f, g0 / lam)
     assert np.abs(geo1.metric.D - geo2.metric.D).max() <= 1e-10
@@ -482,8 +479,8 @@ def test_scaling_covariance():
     assert np.abs(geo2.grad_f - geo1.grad_f / lam).max() <= 1e-10
     assert np.abs(geo2.hess_ff - geo1.hess_ff / lam ** 2).max() <= 1e-10
     assert np.abs(geo2.drift() - geo1.drift() / lam).max() <= 1e-10
-    r1 = reduction_jacobian(lat, c1, g0, 1.0, 1.0)
-    r2 = reduction_jacobian(lat, c2, g0 / lam, 1.0, 1.0)
+    r1 = geo1.jacobian(1.0, 1.0)
+    r2 = geo2.jacobian(1.0, 1.0)
     assert abs(r2.J - r1.J / lam ** 2) <= 1e-10
 
 
@@ -554,7 +551,7 @@ def test_jacobian_two_site_uniform_oracle():
     F1, F2 = 0.6, -0.9
     c = F1 ** 2 + F2 ** 2
     f = np.stack([np.full(2, F1), np.full(2, F2)])
-    rep = reduction_jacobian(lat, adapted(lat, f), g0, mu, kappa)
+    rep = OrbitGeometry(lat, f, g0).jacobian(mu, kappa)
     assert rep.J == pytest.approx(mu ** 2 * kappa / (4 * c), rel=1e-10)
 
 
@@ -564,7 +561,7 @@ def test_jacobian_two_site_general_oracle():
     rng = np.random.default_rng(16)
     mu, kappa, g0 = 0.9, 1.3, 0.5
     f = rng.standard_normal((2, 2))
-    rep = reduction_jacobian(lat, adapted(lat, f), g0, mu, kappa)
+    rep = OrbitGeometry(lat, f, g0).jacobian(mu, kappa)
     expected = mu ** 2 * kappa / 8 * np.sum(1.0 / (f[0] ** 2 + f[1] ** 2))
     assert rep.J == pytest.approx(expected, rel=1e-10)
 
@@ -572,15 +569,15 @@ def test_jacobian_two_site_general_oracle():
 def test_jacobian_zero_field_raises():
     lat = Lattice(1, 2)
     with pytest.raises(SingularOrbitMetric):
-        reduction_jacobian(lat, adapted(lat, np.zeros((2, 2))), 0.8, 1.0, 1.0)
+        OrbitGeometry(lat, np.zeros((2, 2)), 0.8).jacobian(1.0, 1.0)
 
 
 def test_jacobian_quadratic_in_mu():
     lat = Lattice(2, 3)
     rng = np.random.default_rng(17)
-    c = adapted(lat, lat.random_doublet(rng))
-    r1 = reduction_jacobian(lat, c, 0.8, 1.0, 0.7)
-    r2 = reduction_jacobian(lat, c, 0.8, 2.0, 0.7)
+    geo = OrbitGeometry(lat, lat.random_doublet(rng), 0.8)
+    r1 = geo.jacobian(1.0, 0.7)
+    r2 = geo.jacobian(2.0, 0.7)
     assert r2.J == pytest.approx(4.0 * r1.J, rel=1e-14)
     assert r1.J == pytest.approx(-0.125 * 1.0 * 0.7 * (r1.laplace_term + 0.25 * r1.grad_term))
 
@@ -591,8 +588,8 @@ def test_jacobian_translation_invariance():
     f = lat.random_doublet(rng)
     shifted = np.stack([np.roll(f[a].reshape(lat.shape), 1, axis=0).ravel()
                         for a in range(2)])
-    r1 = reduction_jacobian(lat, adapted(lat, f), 0.8, 1.0, 1.0)
-    r2 = reduction_jacobian(lat, adapted(lat, shifted), 0.8, 1.0, 1.0)
+    r1 = OrbitGeometry(lat, f, 0.8).jacobian(1.0, 1.0)
+    r2 = OrbitGeometry(lat, shifted, 0.8).jacobian(1.0, 1.0)
     assert abs(r1.J - r2.J) <= 1e-10
     assert abs(r1.logdet - r2.logdet) <= 1e-10
 
@@ -604,38 +601,42 @@ def test_jacobian_global_rotation_invariance():
     th = 1.1
     fr = np.stack([np.cos(th) * f[0] + np.sin(th) * f[1],
                    -np.sin(th) * f[0] + np.cos(th) * f[1]])
-    r1 = reduction_jacobian(lat, adapted(lat, f), 0.8, 1.0, 1.0)
-    r2 = reduction_jacobian(lat, adapted(lat, fr), 0.8, 1.0, 1.0)
+    r1 = OrbitGeometry(lat, f, 0.8).jacobian(1.0, 1.0)
+    r2 = OrbitGeometry(lat, fr, 0.8).jacobian(1.0, 1.0)
     assert abs(r1.J - r2.J) <= 1e-10
     assert abs(r1.laplace_term - r2.laplace_term) <= 1e-10
     assert abs(r1.grad_term - r2.grad_term) <= 1e-10
 
 
-# ----------------------------------------------------------------------
-# effective potential
-# ----------------------------------------------------------------------
-
 def test_effective_potential_composition():
+    # V_eff = V + J / m: the report's correction is J / m, and the composed
+    # potential is the same for gauge-equivalent states (odd N, mean-zero
+    # gauge motion)
     lat = Lattice(2, 3)
     rng = np.random.default_rng(21)
     p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
-    c = to_adapted(lat, p)
+    eps = lat.random_scalar(rng)
+    eps -= eps.mean()
+    q = gauge_transform(lat, p, eps)
     mu, kappa, m = 1.1, 0.9, 2.0
-    rep = reduction_jacobian(lat, c, 0.8, mu, kappa, m)
-    total = effective_potential(lat, c, 0.8, mu, kappa, m)
-    assert total == pytest.approx(potential(lat, p) + rep.V_correction, abs=1e-12)
-    assert rep.V_correction == pytest.approx(rep.J / m, abs=1e-15)
+    rp = OrbitGeometry(lat, to_adapted(lat, p).f_tilde, 0.8).jacobian(mu, kappa, m)
+    rq = OrbitGeometry(lat, to_adapted(lat, q).f_tilde, 0.8).jacobian(mu, kappa, m)
+    assert rp.V_correction == pytest.approx(rp.J / m, abs=1e-15)
+    v_p = potential(lat, p) + rp.V_correction
+    v_q = potential(lat, q) + rq.V_correction
+    assert abs(v_p - v_q) / (1.0 + abs(v_p)) <= 1e-9
 
 
-def test_effective_potential_orbit_independence():
-    # any representative of the same orbit gives the same value (odd N,
-    # mean-zero gauge motion)
+def test_jacobian_orbit_independence():
+    # any representative of the same orbit gives the same J: gauge-equivalent
+    # p and q have the same f~ up to roundoff (odd N, mean-zero gauge motion)
     lat = Lattice(2, 3)
     rng = np.random.default_rng(22)
     p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
     eps = lat.random_scalar(rng)
     eps -= eps.mean()
     q = gauge_transform(lat, p, eps)
-    v1 = effective_potential(lat, to_adapted(lat, p), 0.8, 1.0, 1.0)
-    v2 = effective_potential(lat, to_adapted(lat, q), 0.8, 1.0, 1.0)
-    assert abs(v1 - v2) / (1.0 + abs(v1)) <= 1e-9
+    r1 = OrbitGeometry(lat, to_adapted(lat, p).f_tilde, 0.8).jacobian(1.0, 1.0)
+    r2 = OrbitGeometry(lat, to_adapted(lat, q).f_tilde, 0.8).jacobian(1.0, 1.0)
+    assert abs(r1.J - r2.J) / (1.0 + abs(r1.J)) <= 1e-9
+    assert abs(r1.logdet - r2.logdet) <= 1e-9

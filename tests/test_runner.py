@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from gaugereduce import orbit, runner
+from gaugereduce import kolmogorov, orbit, runner
 from gaugereduce.gauge import FieldPair
 from gaugereduce.lattice import Lattice
 from gaugereduce.runner import (ConfigError, cmd_check, cmd_compare_oracle,
@@ -135,7 +135,7 @@ def test_cmd_jacobian_two_site_oracle(tmp_path):
     _, cfg = make_config(
         tmp_path, **{
             "lattice.dim": 1, "lattice.sites_per_dim": 2,
-            "fields.g0": 0.63, "fields.mu": 1.1, "fields.kappa": 0.8,
+            "fields.g0": 0.63, "fields.mu": 1.1, "fields.kappa": 0.8, "fields.m": 2.0,
             "jacobian.source": "uniform",
             "jacobian.uniform_f1": 0.6, "jacobian.uniform_f2": -0.9,
         })
@@ -144,6 +144,8 @@ def test_cmd_jacobian_two_site_oracle(tmp_path):
     header, row = rows[0], rows[1]
     J = float(row[header.index("J")])
     assert J == pytest.approx(1.1 ** 2 * 0.8 / (4 * (0.6 ** 2 + 0.9 ** 2)), rel=1e-10)
+    # the V_correction column is J / m, as the benchmark's jacobian oracle reads it
+    assert float(row[header.index("V_correction")]) == pytest.approx(J / 2.0, rel=1e-11)
     assert row[header.index("status")] == "ok"
 
 
@@ -359,6 +361,42 @@ def test_compare_oracle_girsanov_refuses_lattice_keys(tmp_path, key, value):
         cmd_compare_oracle(cfg)
     assert main(["compare-oracle", str(path)]) == 2
     assert not (tmp_path / "out" / "compare_oracle.csv").exists()
+
+
+_BIG = {"lattice.dim": 3, "lattice.sites_per_dim": 9}     # V = 729 > MAX_DENSE_SITES
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("compare-oracle", {"oracle.dof": 4}),
+    ("compare-oracle", {"oracle.grid_points": 2}),
+    ("compare-oracle", {"oracle.grid_points": 3}),    # its Richardson grid has 2
+    ("compare-oracle", {"oracle.x0": 7.0}),
+    ("check", _BIG),
+    ("jacobian", _BIG),
+    ("simulate", {**_BIG, "sde.process": "reduced"}),
+], ids=["oracle-dof-4", "oracle-2-points", "oracle-3-points", "oracle-x0-outside", "check-V729",
+        "jacobian-V729", "reduced-simulate-V729"])
+def test_caps_refused_as_config_errors(tmp_path, monkeypatch, capsys, command, overrides):
+    # a cap is a config error (exit 2, one line) found before any PDE solve,
+    # path or CSV
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+    for module, name in [(runner, "feynman_kac"), (runner, "reduced_batch_diagnostics"),
+                         (kolmogorov, "evolve")]:
+        monkeypatch.setattr(module, name, never)
+    path, _ = make_config(tmp_path, **{"sde.n_steps": 2, "sde.n_paths": 2, **overrides})
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_original_simulate_runs_above_dense_cap(tmp_path):
+    # the original process builds no dense operator, so V = 729 still runs
+    path, _ = make_config(tmp_path, **{**_BIG, "sde.n_steps": 2, "sde.n_paths": 2})
+    assert main(["simulate", str(path)]) == 0
+    header, row = read_rows(tmp_path / "out" / "simulate.csv")
+    assert row[header.index("status")] == "ok"
 
 
 def test_main_runs_check(tmp_path):
