@@ -35,11 +35,10 @@ print(f"total drift                       f-sector {np.abs(df).max():.3e}   "
       f"A-sector {np.abs(dA).max():.1f} (identically zero)")
 
 print("\n=== constraint preservation at the path endpoints ===")
-f0 = np.stack([np.ones(16), 0.5 * np.ones(16)])
-c0 = AdaptedCoords(np.zeros((2, 16)), f0, np.zeros(16))
+x0 = np.concatenate([np.zeros(32), np.ones(16), 0.5 * np.ones(16)])   # flat (A*, f~1, f~2)
 cfg = SDEConfig(mu=1.0, kappa=1.0, dt=5e-3, n_steps=60, n_paths=16, seed=12)
-abort, ends = reduced_batch_diagnostics(lat, c0, g0, cfg)
-worst = max(np.abs(lat.divergence(c.A_star)).max() for c in ends)
+abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
+worst = max(np.abs(lat.divergence(x[:32].reshape(2, 16))).max() for x in ends)
 print(f"{cfg.n_paths} paths x {cfg.n_steps} steps, worst |div A*| at the endpoints = {worst:.2e}")
 print(f"abort fraction: {abort}")
 

@@ -10,7 +10,7 @@ and a dense backward-equation oracle for validating them.
 
 __version__ = "0.1.0"
 
-from .lattice import Lattice, LatticeSpec, MAX_DENSE_SITES, flat, unflat
+from .lattice import Lattice, LatticeSpec, MAX_DENSE_SITES, flat
 from .gauge import (AdaptedCoords, FaddeevPopov, FieldPair, faddeev_popov,
                     from_adapted, gauge_transform, killing_doublet_matrix,
                     killing_vector, potential, projector_N, rotate,

@@ -228,8 +228,3 @@ def matvec(M, x):
 def flat(field):
     """Flatten a (components, V) field to component-major 1-d layout."""
     return np.asarray(field, dtype=float).reshape(-1)
-
-
-def unflat(arr, components, n_sites):
-    """Inverse of :func:`flat`."""
-    return np.asarray(arr, dtype=float).reshape(components, n_sites)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,9 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
-                    gauge_transform, killing_vector, potential, to_adapted,
-                    transverse_projector)
+from .gauge import (FieldPair, faddeev_popov, from_adapted, gauge_transform,
+                    killing_vector, potential, to_adapted, transverse_projector)
 from .kolmogorov import compare, discretization_budget
 from .lattice import MAX_DENSE_SITES, Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
@@ -144,6 +144,8 @@ def parse_config(text):
             values[key] = typ(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if typ is float and not math.isfinite(values[key]):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
     for key in _POSITIVE:
         if not values[key] > 0:
             raise ConfigError(f"{key} must be positive, got {values[key]}")
@@ -168,17 +170,24 @@ def load_config(path):
 
 
 def read_field_file(path):
-    """Field file: header line ``dim N kind``, then one line per site."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    dim, n, kind = lines[0].split()
-    dim, n = int(dim), int(n)
+    """Field file: header line ``dim N kind``, then one line per site.  A file
+    that cannot be read or parsed, or holds a non-finite entry, is a config error."""
+    try:
+        lines = [ln.split() for ln in Path(path).read_text().splitlines() if ln.strip()]
+        dim, n, kind = lines[0]
+        dim, n = int(dim), int(n)
+        data = np.array([[float(tok) for tok in ln] for ln in lines[1:]])
+    except IndexError:
+        raise ConfigError(f"field file {path} is empty") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"field file {path}: {exc}") from None
     if kind not in ("scalar", "vector", "doublet"):
         raise ConfigError(f"unknown field kind {kind!r}")
     comps = {"scalar": 1, "vector": dim, "doublet": 2}[kind]
-    data = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
     if data.shape != (n ** dim, comps):
-        raise ConfigError(
-            f"field file shape {data.shape} != ({n ** dim}, {comps}) for {kind}")
+        raise ConfigError(f"field file shape {data.shape} != ({n ** dim}, {comps}) for {kind}")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"field file {path} has a non-finite entry")
     return dim, n, kind, data.T.copy()
 
 
@@ -306,29 +315,28 @@ def cmd_jacobian(config, field_path=None):
     lat = config.dense_lattice()
     g0 = config["fields.g0"]
     if field_path is not None:
-        dim, n, kind, data = read_field_file(field_path)
+        dim, n, kind, f = read_field_file(field_path)
         if (dim, n, kind) != (lat.dim, lat.spec.sites_per_dim, "doublet"):
             raise ConfigError("field file does not match configured lattice/kind")
-        f = data
     else:
         f = _field_from_source(config, lat)
     header = ("f_mean_sq", "f_min_sq", "f_max_sq", "logdet", "laplace_term",
               "grad_term", "J", "V_correction", "status")
-    f2 = f[0] ** 2 + f[1] ** 2
-    try:
-        rep = OrbitGeometry(lat, f, g0).jacobian(config["fields.mu"], config["fields.kappa"],
-                                                 config["fields.m"])
-    except SingularOrbitMetric as exc:
-        _write_csv(config, "jacobian", header,
-                   [(f"{f2.mean():.12g}", f"{f2.min():.12g}", f"{f2.max():.12g}",
-                     "", "", "", "", "", f"singular: {exc}")])
-        return 1
-    _write_csv(config, "jacobian", header,
-               [(f"{f2.mean():.12g}", f"{f2.min():.12g}", f"{f2.max():.12g}",
-                 f"{rep.logdet:.12g}", f"{rep.laplace_term:.12g}",
-                 f"{rep.grad_term:.12g}", f"{rep.J:.12g}",
-                 f"{rep.V_correction:.12g}", "ok")])
-    return 0
+    # an overflow or NaN shows in the row's status, not as a warning
+    with np.errstate(all="ignore"):
+        f2 = f[0] ** 2 + f[1] ** 2
+        numbers = [f2.mean(), f2.min(), f2.max()]
+        try:
+            rep = OrbitGeometry(lat, f, g0).jacobian(
+                config["fields.mu"], config["fields.kappa"], config["fields.m"])
+        except SingularOrbitMetric as exc:
+            status = f"singular: {exc}"
+        else:
+            numbers += [rep.logdet, rep.laplace_term, rep.grad_term, rep.J, rep.V_correction]
+            status = "ok" if np.isfinite(numbers).all() else "non-finite"
+    row = [f"{x:.12g}" for x in numbers] + [""] * (len(header) - 1 - len(numbers))
+    _write_csv(config, "jacobian", header, [row + [status]])
+    return 0 if status == "ok" else 1
 
 
 def _phi0_fn(config, lat):
@@ -351,24 +359,20 @@ def cmd_simulate(config):
     """Feynman-Kac estimate over the configured process; CSV with diagnostics."""
     lat = config.dense_lattice() if config["sde.process"] == "reduced" else config.lattice()
     cfg = config.sde()
-    g0 = config["fields.g0"]
     header = ("process", "mean", "std_error", "n_paths", "n_flagged",
               "max_exponent", "abort_fraction", "status")
+    sV, V = lat.dim * lat.n_sites, lat.n_sites
+    initial = np.zeros(sV + 2 * V)      # flat (A, f1, f2) with A = 0, f = (1, 0)
+    initial[sV:sV + V] = 1.0
     if config["sde.process"] == "original":
-        d = (lat.dim + 2) * lat.n_sites
-        initial = np.zeros(d)
-        initial[lat.dim * lat.n_sites:(lat.dim + 1) * lat.n_sites] = 1.0  # f1 = 1
         est = feynman_kac(_phi0_fn(config, lat), _v_fn(config, lat), cfg, initial,
                           noise_scale=lat.spacing ** (-lat.dim / 2.0))
     else:
         if config["simulate.potential"] != "zero":
             raise ConfigError("simulate.potential is not applied along reduced "
                               "paths; sde.process = reduced needs potential zero")
-        f0 = np.stack([np.ones(lat.n_sites), np.zeros(lat.n_sites)])
-        c0 = AdaptedCoords(np.zeros((lat.dim, lat.n_sites)), f0, np.zeros(lat.n_sites))
-        abort, endpoints = reduced_batch_diagnostics(lat, c0, g0, cfg)
-        ends = np.array([flat(c.f_tilde) for c in endpoints]).reshape(-1, 2 * lat.n_sites)
-        est = _reduce_estimate(_phi0_fn(config, lat)(ends), 0, 0.0, abort)
+        abort, ends = reduced_batch_diagnostics(lat, initial, config["fields.g0"], cfg)
+        est = _reduce_estimate(_phi0_fn(config, lat)(ends[:, sV:]), abort_fraction=abort)
     status = "unreliable" if est.unreliable else "ok"
     _write_csv(config, "simulate", header,
                [(config["sde.process"], f"{est.mean:.12g}", f"{est.std_error:.12g}",

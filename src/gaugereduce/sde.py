@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import AdaptedCoords, transverse_projector
-from .lattice import flat, matvec, unflat
+from .gauge import transverse_projector
+from .lattice import matvec
 from .orbit import OrbitGeometry, SingularOrbitMetric
 
 EXPONENT_GUARD = 700.0
@@ -182,10 +182,16 @@ def _flat_step(cfg, drift, noise_scale):
     return lambda x, dw: (x + drift(x) * cfg.dt + sigma * dw, None)
 
 
-def _reduce_estimate(values, n_flagged, max_exponent, abort_fraction=0.0):
-    """Mean and standard error over the per-path values; unreliable when a
-    path was flagged, ABORT_LIMIT or more of the paths aborted, or the
+def _reduce_estimate(values, exponents=None, abort_fraction=0.0):
+    """Mean and standard error of the per-path values, weighted by exp(exponents)
+    clipped at +-EXPONENT_GUARD when given; unreliable when an exponent was
+    clipped (flagged), ABORT_LIMIT or more of the paths aborted, or the
     estimate is not finite (no values at all gives NaN)."""
+    n_flagged, max_exponent = 0, 0.0
+    if exponents is not None:
+        n_flagged = int(np.sum(np.abs(exponents) > EXPONENT_GUARD))
+        max_exponent = float(np.max(np.abs(exponents)))
+        values = values * np.exp(np.clip(exponents, -EXPONENT_GUARD, EXPONENT_GUARD))
     n = values.shape[0]
     mean = float(np.sum(values) / n) if n else math.nan
     if n > 1:
@@ -219,15 +225,10 @@ def feynman_kac(phi0, v, cfg, initial, drift=None, noise_scale=1.0):
         values[lo:hi] = phi0(x)
 
     _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
-    n_flagged = int(np.sum(np.abs(exponents) > EXPONENT_GUARD))
-    if v is not None:
-        weights = np.exp(np.clip(exponents, -EXPONENT_GUARD, EXPONENT_GUARD))
-        values = values * weights
-    max_exp = float(np.max(np.abs(exponents))) if v is not None else 0.0
-    return _reduce_estimate(values, n_flagged, max_exp)
+    return _reduce_estimate(values, exponents if v is not None else None)
 
 
-def girsanov_check(cfg, initial, drift_field, phi0, noise_scale=1.0):
+def girsanov_check(cfg, initial, drift_field, phi0):
     """Drifted expectation vs reweighted driftless expectation.
 
     Returns (drifted, reweighted) estimates of E[phi0(x_T)].  Both legs use
@@ -237,11 +238,10 @@ def girsanov_check(cfg, initial, drift_field, phi0, noise_scale=1.0):
     """
     initial = np.asarray(initial, dtype=float).reshape(-1)
     d = initial.size
-    v1 = np.empty(cfg.n_paths)
-    v2 = np.empty(cfg.n_paths)
+    v1, v2 = np.empty((2, cfg.n_paths))
     logd = np.zeros(cfg.n_paths)
-    drifted = _flat_step(cfg, drift_field, noise_scale)
-    driftless = _flat_step(cfg, None, noise_scale)
+    drifted = _flat_step(cfg, drift_field, 1.0)
+    driftless = _flat_step(cfg, None, 1.0)
 
     def run(lo, hi):
         z = _chunk_normals(cfg.seed, lo, hi, cfg.n_steps, d)
@@ -257,15 +257,11 @@ def girsanov_check(cfg, initial, drift_field, phi0, noise_scale=1.0):
         v2[lo:hi] = phi0(_integrate_chunk(cfg, initial, z, reweighted)[0])
 
     _run_chunks(run, cfg.n_paths, 8 * cfg.n_steps * d)
-    n_flagged = int(np.sum(np.abs(logd) > EXPONENT_GUARD))
-    weights = np.exp(np.clip(logd, -EXPONENT_GUARD, EXPONENT_GUARD))
-    est1 = _reduce_estimate(v1, 0, 0.0)
-    est2 = _reduce_estimate(v2 * weights, n_flagged, float(np.max(np.abs(logd))))
-    return est1, est2
+    return _reduce_estimate(v1), _reduce_estimate(v2, logd)
 
 
 def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
-                               dt_values, horizon, noise_scale=1.0):
+                               dt_values, horizon):
     """E[phi0(x_T)] at several step sizes with common random numbers.
 
     dt_values must be integer multiples of the smallest; coarse increments
@@ -298,11 +294,11 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
                     zc += z[:, k:n_steps * fac:fac]
                 zc /= math.sqrt(fac)
             cfg = SDEConfig(mu, kappa, dt, n_steps, n_paths, seed)
-            x, _, _ = _integrate_chunk(cfg, initial, zc, _flat_step(cfg, drift, noise_scale))
+            x, _, _ = _integrate_chunk(cfg, initial, zc, _flat_step(cfg, drift, 1.0))
             values[dt][lo:hi] = phi0(x)
 
     _run_chunks(run, n_paths, 8 * n_fine * d)
-    return {dt: _reduce_estimate(values[dt], 0, 0.0) for dt in dts}
+    return {dt: _reduce_estimate(values[dt]) for dt in dts}
 
 
 def _geometry_of_rows(lat, f, g0, keep):
@@ -366,17 +362,21 @@ def _reduced_step(lat, g0, cfg):
     return step
 
 
-def reduced_batch_diagnostics(lat, c0, g0, cfg):
-    """Run cfg.n_paths reduced paths; returns (abort_fraction, endpoints).
+def reduced_batch_diagnostics(lat, initial, g0, cfg):
+    """Run cfg.n_paths reduced paths from the flat state ``initial`` =
+    (A*, f~1, f~2) of (s + 2)V entries; returns (abort_fraction, ends).
 
-    A path's arithmetic does not depend on which paths share its chunk, so
-    its endpoint is bitwise independent of n_paths, the chunking and the
-    thread count.  A path aborts, and its endpoint is excluded, when
-    :func:`_reduced_step` stops it or when its final state is non-finite.
+    ``ends`` holds the completed paths' final flat states, one row each in
+    path order: ends[:, :sV] is A* and ends[:, sV:] is f~.  A path's
+    arithmetic does not depend on which paths share its chunk, so its row
+    is bitwise independent of n_paths, the chunking and the thread count.
+    A path aborts, and has no row, when :func:`_reduced_step` stops it or
+    when its final state is non-finite.
     """
-    s, V = lat.dim, lat.n_sites
-    d = (s + 2) * V
-    initial = np.concatenate([flat(c0.A_star), flat(lat.check_doublet(c0.f_tilde))])
+    V = lat.n_sites
+    d = (lat.dim + 2) * V
+    if np.shape(initial) != (d,):
+        raise ValueError(f"reduced initial state must have shape {(d,)}, got {np.shape(initial)}")
     ends = np.empty((cfg.n_paths, d))
     done = np.zeros(cfg.n_paths, dtype=bool)
     step = _reduced_step(lat, g0, cfg)
@@ -395,10 +395,8 @@ def reduced_batch_diagnostics(lat, c0, g0, cfg):
     # three temporaries of the inverse or of W and w) and 6 d-vectors of
     # states and increments (tracemalloc: up to 5.1 on small lattices)
     _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 7 * V * V))
-    endpoints = [AdaptedCoords(unflat(ends[i, :s * V], s, V), unflat(ends[i, s * V:], 2, V),
-                               c0.a.copy())
-                 for i in np.flatnonzero(done)]
-    return (cfg.n_paths - len(endpoints)) / cfg.n_paths, endpoints
+    ends = ends[done]
+    return (cfg.n_paths - len(ends)) / cfg.n_paths, ends
 
 
 def _run_chunks(run, n_paths, row_bytes):

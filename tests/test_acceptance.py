@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from gaugereduce import orbit
-from gaugereduce.gauge import AdaptedCoords, FieldPair, faddeev_popov, potential
+from gaugereduce.gauge import FieldPair, faddeev_popov, potential
 from gaugereduce.kolmogorov import compare, discretization_budget
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, orbit_metric
@@ -309,15 +309,14 @@ def _c13_rows():
     rows = []
     for k, (s, n) in enumerate(C13_LATTICES):
         lat = Lattice(s, n)
-        V = lat.n_sites
-        c0 = AdaptedCoords(np.zeros((s, V)), np.stack([np.ones(V), np.zeros(V)]), np.zeros(V))
+        sV, V = lat.dim * lat.n_sites, lat.n_sites
+        x0 = np.concatenate([np.zeros(sV), np.ones(V), np.zeros(V)])
         red, aborted = [], False
         for dt in (2e-3, 4e-3):
             cfg = SDEConfig(1.0, 1.0, dt, round(C13_T / dt), 2000, 1300 + k)
-            abort, ends = reduced_batch_diagnostics(lat, c0, C13_G0, cfg)
+            abort, ends = reduced_batch_diagnostics(lat, x0, C13_G0, cfg)
             aborted = aborted or abort > 0
-            red.append(_c13_observables(lat, np.array([flat(c.A_star) for c in ends]),
-                                        np.array([flat(c.f_tilde) for c in ends])))
+            red.append(_c13_observables(lat, ends[:, :sV], ends[:, sV:]))
         for name, (m0, se0) in _c13_original(k).items():
             (m1, se1), (m2, _) = _mean_se(red[0][name]), _mean_se(red[1][name])
             se = math.hypot(se1, se0)

@@ -59,6 +59,12 @@ def test_parse_rejects_bad_values():
         parse_config("lattice.dim = two\n")
     with pytest.raises(ConfigError):
         parse_config(f"sde.seed = {2 ** 64}\n")
+    # every float key must be finite, whatever its own range check says
+    for text in ("fields.g0 = inf", "fields.mu = inf", "sde.dt = inf", "fields.m = nan",
+                 "jacobian.uniform_f1 = nan", "jacobian.uniform_f2 = -inf",
+                 "oracle.x0 = inf", "lattice.spacing = infinity"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(text + "\n")
 
 
 def test_main_exit_codes(tmp_path):
@@ -159,6 +165,16 @@ def test_cmd_jacobian_zero_field_exit1(tmp_path):
     assert rows[1][-1].startswith("singular")
 
 
+def test_cmd_jacobian_non_finite_row_is_not_ok(tmp_path):
+    # |f~|^2 = 1e400 overflows: the row says non-finite and the exit code is 1
+    _, cfg = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": 4,
+                                      "jacobian.uniform_f1": 1e200})
+    assert cmd_jacobian(cfg) == 1
+    header, row = read_rows(tmp_path / "out" / "jacobian.csv")
+    assert row[header.index("f_mean_sq")] == "inf"
+    assert row[header.index("status")] == "non-finite"
+
+
 def test_cmd_jacobian_deterministic_bytes(tmp_path):
     _, cfg = make_config(tmp_path, **{"jacobian.source": "random", "sde.seed": 9})
     assert cmd_jacobian(cfg) == 0
@@ -195,6 +211,28 @@ def test_cmd_jacobian_field_file_mismatch(tmp_path):
     _, cfg = make_config(tmp_path)  # 2-d lattice: mismatch
     with pytest.raises(ConfigError):
         cmd_jacobian(cfg, field_path=str(fpath))
+
+
+_FIELD_FILES = {
+    "non-numeric": "1 4 doublet\n1 0\n1 zero\n1 0\n1 0\n",
+    "short-row": "1 4 doublet\n1 0\n1\n1 0\n1 0\n",
+    "empty": "",
+    "missing": None,
+    "non-finite": "1 4 doublet\n1 0\nnan 0\n1 0\n1 inf\n",
+}
+
+
+@pytest.mark.parametrize("case", list(_FIELD_FILES))
+def test_bad_field_file_is_config_error(tmp_path, capsys, case):
+    # exit 2 with one config-error line and no CSV, never a traceback
+    fpath = tmp_path / "field.txt"
+    if _FIELD_FILES[case] is not None:
+        fpath.write_text(_FIELD_FILES[case])
+    path, _ = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": 4})
+    assert main(["jacobian", str(path), "--field-file", str(fpath)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_simulate_trivial(tmp_path):

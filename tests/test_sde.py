@@ -91,6 +91,11 @@ def _original_start(lat, seed):
     return np.concatenate([flat(lat.random_vector(rng)), flat(lat.random_doublet(rng))])
 
 
+def _start(A, f):
+    """Flat reduced state (A*, f~1, f~2) of (s + 2)V entries."""
+    return np.concatenate([flat(A), flat(f)])
+
+
 def test_euler_original_zero_mu_is_identity():
     lat = Lattice(1, 4)
     x = _original_start(lat, 0)[None, :]
@@ -134,17 +139,25 @@ def test_reduced_step_zero_field_raises():
     lat = Lattice(1, 2)
     with pytest.raises(SingularOrbitMetric):
         OrbitGeometry(lat, np.zeros((2, 2)), 0.8)
-    c = AdaptedCoords(np.zeros((1, 2)), np.zeros((2, 2)), np.zeros(2))
-    abort, ends = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, 1e-3, 1, 1, 1))
-    assert abort == 1.0 and ends == []
+    abort, ends = reduced_batch_diagnostics(lat, np.zeros(6), 0.8,
+                                            SDEConfig(1.0, 1.0, 1e-3, 1, 1, 1))
+    assert abort == 1.0 and ends.shape == (0, 6)
 
 
 def test_reduced_batch_aborts_near_singularity():
     # min |f~|^2 = 2e-14 is below the floor: the path aborts at step 0
     lat = Lattice(1, 2)
-    c = AdaptedCoords(np.zeros((1, 2)), np.full((2, 2), 1e-7), np.zeros(2))
-    abort, ends = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1))
-    assert abort == 1.0 and ends == []
+    x0 = _start(np.zeros((1, 2)), np.full((2, 2), 1e-7))
+    abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1))
+    assert abort == 1.0 and ends.shape == (0, 6)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), (2, 3)])
+def test_reduced_batch_refuses_wrong_initial_shape(shape):
+    # the initial state is the flat (A*, f~1, f~2) of (s + 2)V = 6 entries
+    with pytest.raises(ValueError, match="initial state"):
+        reduced_batch_diagnostics(Lattice(1, 2), np.ones(shape), 0.8,
+                                  SDEConfig(1.0, 1.0, 1e-3, 1, 1, 1))
 
 
 @pytest.mark.parametrize("s,n,f0,dt,n_steps,seed", [
@@ -154,8 +167,7 @@ def test_reduced_batch_aborts_near_singularity():
 def test_reduced_with_drift_preserves_constraint(monkeypatch, s, n, f0, dt, n_steps, seed):
     lat = Lattice(s, n)
     V = lat.n_sites
-    c = AdaptedCoords(np.zeros((s, V)), np.stack([np.full(V, f0[0]), np.full(V, f0[1])]),
-                      np.zeros(V))
+    x0 = _start(np.zeros((s, V)), np.stack([np.full(V, f0[0]), np.full(V, f0[1])]))
     real, states = sde._reduced_step, []
 
     def recording(lat, g0, cfg):           # keeps the states every step returns
@@ -168,7 +180,7 @@ def test_reduced_with_drift_preserves_constraint(monkeypatch, s, n, f0, dt, n_st
         return wrapped
 
     monkeypatch.setattr(sde, "_reduced_step", recording)
-    abort, _ = reduced_batch_diagnostics(lat, c, 0.8, SDEConfig(1.0, 1.0, dt, n_steps, 1, seed))
+    abort, _ = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, dt, n_steps, 1, seed))
     assert abort == 0.0 and len(states) == n_steps
     for x in states:
         assert np.abs(lat.divergence(x[0, :s * V].reshape(s, V))).max() <= 1e-10
@@ -197,10 +209,11 @@ def test_reduced_one_step_mean_is_drift(monkeypatch):
     cfg = SDEConfig(1.2, 0.9, 1e-2, 1, 2 * n, 1)
     drift_A, drift_f = reduced_drift(lat, c0, g0)
     _antithetic_normals(monkeypatch, rng.standard_normal((n, 6)))
-    abort, ends = reduced_batch_diagnostics(lat, c0, g0, cfg)
+    x0 = _start(c0.A_star, f0)
+    abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
     assert abort == 0.0
-    meanA = sum(c1.A_star - c0.A_star for c1 in ends) / (2 * n)
-    meanf = sum(c1.f_tilde - c0.f_tilde for c1 in ends) / (2 * n)
+    mean = (ends - x0).sum(axis=0) / (2 * n)
+    meanA, meanf = mean[:2].reshape(1, 2), mean[2:].reshape(2, 2)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
     # potential-sector drift is zero and the step reprojects, so compare after P
     P = transverse_projector(lat)
@@ -215,19 +228,17 @@ def _reduced_noise(monkeypatch):
     lat = Lattice(2, 3)
     rng = np.random.default_rng(4)
     f0 = rng.standard_normal((2, 9)) + 2.0
-    c0 = AdaptedCoords(np.zeros((2, 9)), f0, np.zeros(9))
     g0, cfg = 0.8, SDEConfig(1.0, 1.0, 4e-2, 1, 2, 1)
     z = rng.standard_normal(4 * 9)
     _antithetic_normals(monkeypatch, z[None, :])
-    abort, (cp, cm) = reduced_batch_diagnostics(lat, c0, g0, cfg)
+    abort, (cp, cm) = reduced_batch_diagnostics(lat, _start(np.zeros((2, 9)), f0), g0, cfg)
     assert abort == 0.0
     dw = z * math.sqrt(cfg.dt)
     P = transverse_projector(lat)
     _, N_f = projector_N(lat, f0, g0)
     expA = P @ (cfg.mu * math.sqrt(cfg.kappa) * dw[:18])
     expf = cfg.mu * math.sqrt(cfg.kappa) * (N_f @ dw[:18] + dw[18:])
-    return (0.5 * (flat(cp.A_star) - flat(cm.A_star)), expA,
-            0.5 * (flat(cp.f_tilde) - flat(cm.f_tilde)), expf)
+    return 0.5 * (cp[:18] - cm[:18]), expA, 0.5 * (cp[18:] - cm[18:]), expf
 
 
 def test_reduced_noise_block_structure(monkeypatch):
@@ -282,16 +293,15 @@ def test_reduced_step_builds_one_geometry(monkeypatch):
     monkeypatch.setattr(orbit.OrbitGeometry, "hess_ff", property(no_hessian))
     lat = Lattice(2, 3)
     rng = np.random.default_rng(5)
-    c0 = AdaptedCoords(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0, np.zeros(9))
-    abort, _ = reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1))
+    x0 = _start(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0)
+    abort, _ = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 1, 1, 1))
     assert abort == 0.0
     assert counts == {"orbit_metric": 1, "projector_N": 0}
 
 
 def _uniform_start(lat):
     V = lat.n_sites
-    return AdaptedCoords(np.zeros((lat.dim, V)), np.stack([np.ones(V), np.zeros(V)]),
-                         np.zeros(V))
+    return _start(np.zeros((lat.dim, V)), np.stack([np.ones(V), np.zeros(V)]))
 
 
 def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
@@ -300,17 +310,16 @@ def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
     # endpoints are bitwise theirs
     monkeypatch.setattr(sde, "SINGULARITY_FLOOR", 0.6)
     lat = Lattice(1, 3)
-    c0 = _uniform_start(lat)
+    x0 = _uniform_start(lat)
     cfg = SDEConfig(1.0, 1.0, 0.03, 20, 24, 2)
-    abort, ends = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, cfg)
     monkeypatch.setattr(sde, "_CHUNK_BYTES", 1)
-    single_abort, kept = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    single_abort, kept = reduced_batch_diagnostics(lat, x0, 0.8, cfg)
     assert 0 < len(kept) < cfg.n_paths
     assert abort == single_abort == (cfg.n_paths - len(kept)) / cfg.n_paths
     assert len(ends) == len(kept)
     for end, ref in zip(ends, kept):
-        assert np.array_equal(end.A_star, ref.A_star)
-        assert np.array_equal(end.f_tilde, ref.f_tilde)
+        assert np.array_equal(end, ref)
 
 
 def test_reduced_batch_aborts_non_positive_definite_metric():
@@ -323,9 +332,9 @@ def test_reduced_batch_aborts_non_positive_definite_metric():
     with pytest.raises(SingularOrbitMetric) as info:
         orbit.orbit_metric(lat, f, g0)
     assert info.value.rows.tolist() == [1, 2]
-    c0 = AdaptedCoords(np.zeros((1, 2)), f[1], np.zeros(2))
-    abort, ends = reduced_batch_diagnostics(lat, c0, g0, SDEConfig(1.0, 1.0, 1e-3, 5, 3, 1))
-    assert abort == 1.0 and ends == []
+    abort, ends = reduced_batch_diagnostics(lat, _start(np.zeros((1, 2)), f[1]), g0,
+                                            SDEConfig(1.0, 1.0, 1e-3, 5, 3, 1))
+    assert abort == 1.0 and ends.shape == (0, 6)
 
 
 def test_reduced_batch_aborts_non_finite_states(monkeypatch):
@@ -333,9 +342,9 @@ def test_reduced_batch_aborts_non_finite_states(monkeypatch):
     # makes their states non-finite: both abort, and the other paths finish
     # exactly as without them
     lat = Lattice(2, 3)
-    c0 = _uniform_start(lat)
+    x0 = _uniform_start(lat)
     cfg = SDEConfig(1.0, 1.0, 5e-3, 10, 4, 3)
-    clean_abort, clean = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    clean_abort, clean = reduced_batch_diagnostics(lat, x0, 0.8, cfg)
     real = sde._chunk_normals
 
     def poisoned(seed, lo, hi, n_steps, dim):
@@ -344,29 +353,27 @@ def test_reduced_batch_aborts_non_finite_states(monkeypatch):
         return z
 
     monkeypatch.setattr(sde, "_chunk_normals", poisoned)
-    abort, ends = reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+    abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, cfg)
     assert clean_abort == 0.0 and abort == 0.5
     for end, i in zip(ends, (0, 3), strict=True):
-        assert np.array_equal(end.f_tilde, clean[i].f_tilde)
-        assert np.array_equal(end.A_star, clean[i].A_star)
+        assert np.array_equal(end, clean[i])
 
 
 def test_reduced_endpoint_independent_of_n_paths():
     # path i's endpoint is bitwise the same whatever the number of paths
     # stacked with it
     lat = Lattice(2, 3)
-    c0 = _uniform_start(lat)
+    x0 = _uniform_start(lat)
     runs = {}
     for n_paths in (1, 3, 7):
-        abort, ends = reduced_batch_diagnostics(lat, c0, 0.8,
+        abort, ends = reduced_batch_diagnostics(lat, x0, 0.8,
                                                 SDEConfig(1.0, 1.0, 5e-3, 30, n_paths, 13))
         assert abort == 0.0
         runs[n_paths] = ends
     for i in range(7):
         for n_paths in (1, 3):
             if i < n_paths:
-                assert np.array_equal(runs[n_paths][i].f_tilde, runs[7][i].f_tilde)
-                assert np.array_equal(runs[n_paths][i].A_star, runs[7][i].A_star)
+                assert np.array_equal(runs[n_paths][i], runs[7][i])
 
 
 @pytest.mark.parametrize("s,n", [(3, 4), (2, 8), (3, 6)])
@@ -375,9 +382,9 @@ def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
     # stays within the rows x row_bytes the byte cap charges it; the V x V
     # term of the charge dominates from V = 64 on
     lat = Lattice(s, n)
-    c0 = _uniform_start(lat)
+    x0 = _uniform_start(lat)
     cfg = SDEConfig(1.0, 1.0, 1e-3, 3, 6, 1)
-    reduced_batch_diagnostics(lat, c0, 0.8, cfg)    # builds the lattice's cached operators
+    reduced_batch_diagnostics(lat, x0, 0.8, cfg)    # builds the lattice's cached operators
     run_chunks, peaks = sde._run_chunks, []
 
     def measured(run, n_paths, row_bytes):
@@ -391,7 +398,7 @@ def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
     monkeypatch.setattr(sde, "_run_chunks", measured)
     tracemalloc.start()
     try:
-        reduced_batch_diagnostics(lat, c0, 0.8, cfg)
+        reduced_batch_diagnostics(lat, x0, 0.8, cfg)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 1
@@ -406,8 +413,8 @@ def test_reduced_chunk_peak_per_row_within_row_charge(monkeypatch, s, n, n_steps
     # slope between chunks of 4 and 12 rows cancels the chunk's fixed cost
     # (Philox objects, a few KB), which dominates the small-lattice rows
     lat = Lattice(s, n)
-    c0 = _uniform_start(lat)
-    reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, 2, 1))
+    x0 = _uniform_start(lat)
+    reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, 2, 1))
     run_chunks, chunks = sde._run_chunks, []
 
     def measured(run, n_paths, row_bytes):
@@ -422,7 +429,7 @@ def test_reduced_chunk_peak_per_row_within_row_charge(monkeypatch, s, n, n_steps
     tracemalloc.start()
     try:
         for rows in (4, 12):
-            reduced_batch_diagnostics(lat, c0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, rows, 1))
+            reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, rows, 1))
     finally:
         tracemalloc.stop()
     (rows_a, peak_a, row_bytes), (rows_b, peak_b, _) = chunks
@@ -446,7 +453,7 @@ def test_reduced_two_site_chain_grows_like_original_process():
     cfg = SDEConfig(mu, kappa, 0.01, 20, 10_000, 5)
     abort, ends = reduced_batch_diagnostics(lat, _uniform_start(lat), 0.8, cfg)
     assert abort == 0.0
-    r2 = np.array([np.sum(c.f_tilde ** 2) for c in ends])
+    r2 = np.sum(ends[:, 2:] ** 2, axis=1)
     mean, se = r2.mean(), r2.std(ddof=1) / math.sqrt(r2.size)
     T = cfg.horizon
     assert abs(mean - 2 * (1.0 + 2 * mu ** 2 * kappa * T)) <= 6 * se + cfg.dt
@@ -510,10 +517,17 @@ def test_feynman_kac_mehler_toy():
     assert abs(est.mean - ref) <= 3 * est.std_error + 2e-4
 
 
-def test_feynman_kac_exponent_guard():
+@pytest.mark.parametrize("estimator", ["feynman_kac", "girsanov_reweighted"])
+def test_feynman_kac_exponent_guard(estimator):
+    # every path's exponent (potential integral or Girsanov log density) is
+    # beyond the guard: each weight is clipped at exp(700) and flagged
     cfg = SDEConfig(1.0, 1.0, 1e-2, 10, 50, 4)
-    est = feynman_kac(lambda x: np.ones(x.shape[0]),
-                      lambda x: np.full(x.shape[0], 1e5), cfg, np.zeros(1))
+    one = lambda x: np.ones(x.shape[0])
+    if estimator == "feynman_kac":
+        est = feynman_kac(one, lambda x: np.full(x.shape[0], 1e5), cfg, np.zeros(1))
+    else:
+        # drift b = 1e3: log density 1e3 sum dw - 5e5 T, T = 0.1
+        est = girsanov_check(cfg, np.zeros(1), lambda x: np.full_like(x, 1e3), one)[1]
     assert est.unreliable and est.n_flagged == 50
     assert est.max_exponent > 700
 
@@ -593,7 +607,7 @@ def test_weak_convergence_coarse_normals_sum_fine_ones(d, dts):
         zc = zc.sum(axis=2) / math.sqrt(fac)
         cfg = SDEConfig(1.0, 1.0, dt, n_steps, n_paths, seed)
         values = quad(sde._integrate_chunk(cfg, x0, zc, sde._flat_step(cfg, drift, 1.0))[0])
-        ref = sde._reduce_estimate(values, 0, 0.0)
+        ref = sde._reduce_estimate(values)
         assert (ests[dt].mean, ests[dt].std_error) == (ref.mean, ref.std_error)
 
 
