@@ -85,7 +85,7 @@ def faddeev_popov(lat):
     """Build the gauge-fixing operator and Green function for a lattice."""
     key = "fp_green"
     if key not in lat._cache:
-        w, U = lat.fp_eig()
+        w, U = np.linalg.eigh(lat.fp_matrix())
         tol = 1e-10 * max(np.abs(w).max(), 1.0)
         keep = np.abs(w) > tol
         green = (U[:, keep] / w[keep]) @ U[:, keep].T
@@ -101,6 +101,11 @@ def rotate(f, theta):
     return np.stack([c * f1 + s * f2, -s * f1 + c * f2], axis=-2)
 
 
+def jbar(f):
+    """Generator Jbar f = (f2, -f1) applied sitewise to a doublet (..., 2, V)."""
+    return np.stack([f[..., 1, :], -f[..., 0, :]], axis=-2)
+
+
 def gauge_transform(lat, p, eps):
     """Finite gauge transformation of a configuration by parameter eps."""
     eps = lat.check_scalar(eps)
@@ -113,19 +118,15 @@ def killing_vector(lat, p, eps):
     Returns the pair (grad(eps), g0 * eps * Jbar f).
     """
     eps = lat.check_scalar(eps)
-    kf = p.g0 * eps * np.stack([p.f[1], -p.f[0]])
-    return lat.gradient(eps), kf
+    return lat.gradient(eps), p.g0 * eps * jbar(p.f)
 
 
 def killing_doublet_matrix(lat, f, g0):
     """Dense (2V x V) matrix of the scalar-sector Killing components,
     K[(a,y), z] = g0 * (Jbar f)^a(y) * delta_{yz}."""
     V = lat.n_sites
-    jf = np.stack([f[1], -f[0]])
     K = np.zeros((2 * V, V))
-    idx = np.arange(V)
-    for a in range(2):
-        K[a * V + idx, idx] = g0 * jf[a]
+    K[np.arange(2 * V), np.tile(np.arange(V), 2)] = g0 * jbar(f).reshape(-1)
     return K
 
 
@@ -190,8 +191,7 @@ def projector_N(lat, f_tilde, g0):
     shape (..., 2V, sV).
     """
     f_tilde = lat.check_doublet(f_tilde, stacked=True)
-    jf = np.stack([f_tilde[..., 1, :], -f_tilde[..., 0, :]], axis=-2)
-    N_f = (-g0 * jf)[..., None] * green_divergence(lat)
+    N_f = (-g0 * jbar(f_tilde))[..., None] * green_divergence(lat)
     return transverse_projector(lat), N_f.reshape(f_tilde.shape[:-2] + (2 * lat.n_sites, -1))
 
 

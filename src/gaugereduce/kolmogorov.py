@@ -10,14 +10,16 @@ freedom.  This is the independent comparison target for the Monte Carlo
 estimator: the weighted expectation E[phi0(x_T) exp((1/mu^2 kappa) int V)]
 of the free diffusion with variance rate v = mu^2 kappa solves the same
 equation on R^d, so grid values and Monte Carlo estimates must agree within
-statistics plus the O(h^2) discretization budget (estimated by Richardson
-comparison of two resolutions).
+statistics plus the discretization budget: a Richardson comparison of two
+resolutions for the O(h^2) spacing error, plus a solve on a wider box for the
+truncation of R^d to the grid box.
 
 Closed forms for the two classic benchmarks are included: heat-kernel
 smoothing of a Gaussian (V = 0) and the quadratic-potential (Mehler kernel)
 value for V(x) = -(1/2) omega^2 |x|^2 with Gaussian or flat phi0.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,22 +64,14 @@ def build_generator(v, dof, points_per_dof, halfwidth, mu, kappa):
         raise ValueError(f"oracle is desk-scale by design: dof must be 1..{MAX_DOF}")
     if points_per_dof < 3:
         raise ValueError(f"need at least 3 grid points per dof, got {points_per_dof}")
-    axis = np.linspace(-halfwidth, halfwidth, points_per_dof)
-    h = axis[1] - axis[0]
     g = points_per_dof
-    main = -2.0 * np.ones(g)
-    off = np.ones(g - 1)
-    lap1 = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
-    eye = scipy.sparse.identity(g, format="csr")
-    lap = None
-    for m in range(dof):
-        term = None
-        for k in range(dof):
-            block = lap1 if k == m else eye
-            term = block if term is None else scipy.sparse.kron(term, block, format="csr")
-        lap = term if lap is None else lap + term
-    grids = np.meshgrid(*([axis] * dof), indexing="ij")
-    nodes = np.stack([g_.ravel() for g_ in grids], axis=1)
+    axis = np.linspace(-halfwidth, halfwidth, g)
+    h = axis[1] - axis[0]
+    lap1 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(g, g), format="csr") / h ** 2
+    # the dof-dimensional Laplacian is the Kronecker sum of the 1-d ones
+    lap = functools.reduce(lambda a, b: scipy.sparse.kronsum(a, b, format="csr"),
+                           [lap1] * dof)
+    nodes = np.stack(np.meshgrid(*([axis] * dof), indexing="ij"), axis=-1).reshape(-1, dof)
     v_diag = np.asarray(v(nodes), dtype=float)
     gen = 0.5 * mu ** 2 * kappa * lap + scipy.sparse.diags(v_diag / (mu ** 2 * kappa))
     return GridPDE(dof, points_per_dof, axis, nodes, gen.tocsr())
@@ -97,25 +91,17 @@ def value_at(pde, psi, x0):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != pde.dof:
         raise ValueError(f"point must have {pde.dof} coordinates")
-    axis = pde.axis
-    h = pde.spacing
-    grid = psi.reshape((pde.points_per_dof,) * pde.dof)
-    lows, ws = [], []
-    for c in x0:
-        if c < axis[0] or c > axis[-1]:
-            raise ValueError("point outside the grid box")
-        i = min(int((c - axis[0]) / h), pde.points_per_dof - 2)
-        lows.append(i)
-        ws.append((c - axis[i]) / h)
+    axis, h, g = pde.axis, pde.spacing, pde.points_per_dof
+    if not np.all((axis[0] <= x0) & (x0 <= axis[-1])):
+        raise ValueError("point outside the grid box")
+    lows = [min(int((c - axis[0]) / h), g - 2) for c in x0]
+    ws = [(c - axis[i]) / h for c, i in zip(x0, lows)]
+    grid = psi.reshape((g,) * pde.dof)
     val = 0.0
-    for corner in range(2 ** pde.dof):
-        w = 1.0
-        idx = []
-        for m in range(pde.dof):
-            bit = (corner >> m) & 1
-            idx.append(lows[m] + bit)
-            w *= ws[m] if bit else (1.0 - ws[m])
-        val += w * grid[tuple(idx)]
+    for corner in range(2 ** pde.dof):      # the first coordinate's bit varies fastest
+        bits = [(corner >> m) & 1 for m in range(pde.dof)]
+        w = math.prod(wm if bit else 1.0 - wm for wm, bit in zip(ws, bits))
+        val += w * grid[tuple(i + bit for i, bit in zip(lows, bits))]
     return float(val)
 
 
@@ -127,14 +113,25 @@ def solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth):
 
 def discretization_budget(v, phi0, x0, T, mu, kappa, dof, points_per_dof,
                           halfwidth):
-    """Richardson error budget: solve at two resolutions, bound the
-    remaining O(h^2) error of the finer one by (4/3)|v_fine - v_coarse|.
-    Bad input raises ValueError before any solve: the coarse grid goes first."""
+    """Reference value on the given grid and a bound on its error: the
+    Richardson term (4/3)|v_fine - v_coarse| for the O(h^2) spacing error plus
+    the truncation term 2|v_wide - v_coarse| for the box.  The coarse grid has
+    points_per_dof // 2 + 1 points (m intervals); the wide box adds ceil(m/4)
+    intervals of the coarse spacing on each side.  Grids below 41 points are
+    refused, since on their coarse grid the Richardson term is not a bound.
+    Bad input raises ValueError before any solve."""
+    if points_per_dof < 41:
+        raise ValueError(f"the error budget needs at least 41 grid points per dof, "
+                         f"got {points_per_dof}")
     if not np.all(np.abs(x0) <= halfwidth):
         raise ValueError(f"point {x0} lies outside the grid box [-{halfwidth}, {halfwidth}]")
-    coarse = solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof // 2 + 1, halfwidth)
-    fine = solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth)
-    return fine, abs(fine - coarse) * 4.0 / 3.0
+    m = points_per_dof // 2
+    pad = -(-m // 4)
+    problem = (v, phi0, x0, T, mu, kappa, dof)
+    coarse = solve_value(*problem, m + 1, halfwidth)
+    wide = solve_value(*problem, m + 2 * pad + 1, halfwidth * (m + 2 * pad) / m)
+    fine = solve_value(*problem, points_per_dof, halfwidth)
+    return fine, abs(fine - coarse) * 4.0 / 3.0 + 2.0 * abs(wide - coarse)
 
 
 def compare(fk, pde_value, budget=0.0):

@@ -17,8 +17,9 @@ the 2s-point stencil: on lattices with even N its kernel contains, besides
 the constants, the 2**s - 1 staggered (checkerboard) modes, the usual
 doubling artifact of central differences (``zero_mode_basis``).
 
-Operator matrices are stored dense; this is a desk-scale verification tool,
-and assembly refuses lattices with more than ``MAX_DENSE_SITES`` sites.
+Operator matrices are stored dense, each once per lattice; this is a
+desk-scale verification tool, and assembly refuses lattices with more than
+``MAX_DENSE_SITES`` sites.
 """
 
 from dataclasses import dataclass, field
@@ -143,30 +144,23 @@ class Lattice:
             raise ValueError(
                 f"dense operator matrices refused for V={self.n_sites} > {MAX_DENSE_SITES} sites")
 
-    def _difference_matrices(self):
-        """Per-direction central difference matrices G_m, each V x V."""
-        if "Gm" not in self._cache:
-            self._require_dense()
-            V = self.n_sites
-            mats = []
-            for p, mn in zip(self._plus, self._minus):
-                M = np.zeros((V, V))
-                M[np.arange(V), p] += 1.0
-                M[np.arange(V), mn] -= 1.0
-                mats.append(M / (2.0 * self.spacing))
-            self._cache["Gm"] = np.stack(mats)
-        return self._cache["Gm"]
-
     def gradient_matrix(self):
         """Dense (sV x V) matrix form of :meth:`gradient`."""
         if "grad" not in self._cache:
-            self._cache["grad"] = np.vstack(self._difference_matrices())
+            self._require_dense()
+            V = self.n_sites
+            G = np.zeros((self.dim * V, V))
+            rows = np.arange(self.dim * V)
+            G[rows, np.concatenate(self._plus)] += 1.0
+            G[rows, np.concatenate(self._minus)] -= 1.0
+            self._cache["grad"] = G / (2.0 * self.spacing)
         return self._cache["grad"]
 
     def divergence_matrix(self):
-        """Dense (V x sV) matrix form of :meth:`divergence`."""
+        """Dense (V x sV) matrix form of :meth:`divergence`: the per-direction
+        blocks of :meth:`gradient_matrix` side by side (each is antisymmetric)."""
         if "div" not in self._cache:
-            self._cache["div"] = np.hstack(self._difference_matrices())
+            self._cache["div"] = np.hstack(np.split(self.gradient_matrix(), self.dim))
         return self._cache["div"]
 
     def fp_matrix(self):
@@ -180,13 +174,6 @@ class Lattice:
             M = self.divergence_matrix() @ self.gradient_matrix()
             self._cache["fp"] = 0.5 * (M + M.T)
         return self._cache["fp"]
-
-    def fp_eig(self):
-        """Eigendecomposition (w, U) of :meth:`fp_matrix`, cached."""
-        if "fp_eig" not in self._cache:
-            w, U = np.linalg.eigh(self.fp_matrix())
-            self._cache["fp_eig"] = (w, U)
-        return self._cache["fp_eig"]
 
     def zero_mode_basis(self):
         """Orthonormal basis of ker(fp_matrix): constants, plus staggered

@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gauge import (faddeev_popov, green_divergence, killing_doublet_matrix,
+from .gauge import (faddeev_popov, green_divergence, jbar, killing_doublet_matrix,
                     transverse_projector)
 from .lattice import matvec
 
@@ -182,7 +182,7 @@ def horizontal_metric(lat, c, g0):
     D = -lat.fp_matrix() + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
     # h_ab = I + N_f N_f^T with N_f = -K_f green div and (green div)(green div)^T
     # = -green: I - u u^T o green for u = g0 Jbar f~, exactly symmetric
-    u = g0 * np.concatenate([f_tilde[1], -f_tilde[0]])
+    u = g0 * jbar(f_tilde).reshape(-1)
     h_ab = np.eye(2 * lat.n_sites) + u[:, None] * u[None, :] * np.tile(-fp.green, (2, 2))
     return HorizontalMetric(
         g_AA=P,
@@ -217,8 +217,7 @@ class OrbitGeometry:
         chol_inv = np.linalg.inv(self.metric.chol)
         Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
         self.Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
-        self.jf = np.stack([self.f_tilde[..., 1, :], -self.f_tilde[..., 0, :]],
-                           axis=-2)                                      # Jbar f~
+        self.jf = jbar(self.f_tilde)
         self.u2 = g0 ** 2 * (self.f_tilde[..., 0, :] ** 2 + self.f_tilde[..., 1, :] ** 2)  # |u|^2
         self.lead = self.f_tilde.shape[:-2]
 

@@ -38,8 +38,8 @@ from .kolmogorov import compare, discretization_budget
 from .lattice import MAX_DENSE_SITES, Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
                     orbit_metric)
-from .sde import (SDEConfig, _reduce_estimate, feynman_kac, girsanov_check,
-                  path_rng, reduced_batch_diagnostics, worker_count)
+from .sde import (SINGULARITY_FLOOR, SDEConfig, _reduce_estimate, feynman_kac,
+                  girsanov_check, path_rng, reduced_batch_diagnostics, worker_count)
 
 
 class ConfigError(Exception):
@@ -326,14 +326,19 @@ def cmd_jacobian(config, field_path=None):
     with np.errstate(all="ignore"):
         f2 = f[0] ** 2 + f[1] ** 2
         numbers = [f2.mean(), f2.min(), f2.max()]
-        try:
-            rep = OrbitGeometry(lat, f, g0).jacobian(
-                config["fields.mu"], config["fields.kappa"], config["fields.m"])
-        except SingularOrbitMetric as exc:
-            status = f"singular: {exc}"
+        if not np.isfinite(f2).all():
+            status = "non-finite"
+        elif f2.min() < SINGULARITY_FLOOR:      # the reduced step's floor
+            status = f"singular: min |f~|^2 {f2.min():.3g} < floor {SINGULARITY_FLOOR:g}"
         else:
-            numbers += [rep.logdet, rep.laplace_term, rep.grad_term, rep.J, rep.V_correction]
-            status = "ok" if np.isfinite(numbers).all() else "non-finite"
+            try:
+                rep = OrbitGeometry(lat, f, g0).jacobian(
+                    config["fields.mu"], config["fields.kappa"], config["fields.m"])
+            except SingularOrbitMetric as exc:
+                status = f"singular: {exc}"
+            else:
+                numbers += [rep.logdet, rep.laplace_term, rep.grad_term, rep.J, rep.V_correction]
+                status = "ok" if np.isfinite(numbers).all() else "non-finite"
     row = [f"{x:.12g}" for x in numbers] + [""] * (len(header) - 1 - len(numbers))
     _write_csv(config, "jacobian", header, [row + [status]])
     return 0 if status == "ok" else 1

@@ -6,27 +6,33 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugereduce.kolmogorov import (build_generator, compare, evolve,
-                                    heat_value, mehler_value, solve_value,
-                                    value_at)
+from gaugereduce.kolmogorov import (build_generator, compare,
+                                    discretization_budget, evolve, heat_value,
+                                    mehler_value, solve_value, value_at)
 from gaugereduce.sde import FKEstimate
 
 ZERO_V = lambda x: np.zeros(x.shape[0])
 
 
 def test_generator_structure_1dof():
-    mu, kappa = 1.2, 0.8
-    pde = build_generator(ZERO_V, 1, 11, 1.0, mu, kappa)
-    h = pde.spacing
-    gen = pde.generator.toarray()
-    expect = np.zeros((11, 11))
-    for i in range(11):
-        expect[i, i] = -2.0
-        if i > 0:
-            expect[i, i - 1] = 1.0
-        if i < 10:
-            expect[i, i + 1] = 1.0
-    assert_allclose(gen, 0.5 * mu ** 2 * kappa * expect / h ** 2, atol=1e-14)
+    # the 1-d three-point Laplacian, and at dof 2 and 3 the sum of its
+    # Kronecker products with identities, one term per direction
+    mu, kappa, g = 1.2, 0.8, 11
+    eye = np.eye(g)
+    lap1 = -2.0 * eye + np.eye(g, k=1) + np.eye(g, k=-1)
+    for dof in (1, 2, 3):
+        pde = build_generator(ZERO_V, dof, g, 1.0, mu, kappa)
+        h = pde.spacing
+        expect = np.zeros((g ** dof, g ** dof))
+        for m in range(dof):
+            term = np.ones((1, 1))
+            for k in range(dof):
+                term = np.kron(term, lap1 if k == m else eye)
+            expect += term
+        assert_allclose(pde.generator.toarray(), 0.5 * mu ** 2 * kappa * expect / h ** 2,
+                        atol=1e-14)
+        assert pde.nodes.shape == (g ** dof, dof)
+        assert_allclose(pde.nodes[1], [pde.axis[0]] * (dof - 1) + [pde.axis[1]], atol=0)
 
 
 def test_generator_symmetric_with_potential():
@@ -116,12 +122,40 @@ def test_richardson_slope_two():
 
 
 def test_value_at_interpolation():
-    pde = build_generator(ZERO_V, 2, 21, 2.0, 1.0, 1.0)
-    lin = 0.3 * pde.nodes[:, 0] - 1.2 * pde.nodes[:, 1] + 0.5
-    assert value_at(pde, lin, np.array([0.37, -0.81])) == pytest.approx(
-        0.3 * 0.37 - 1.2 * (-0.81) + 0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        value_at(pde, lin, np.array([5.0, 0.0]))
+    # affine functions are reproduced exactly by multilinear interpolation
+    rng = np.random.default_rng(3)
+    for dof in (1, 2, 3):
+        pde = build_generator(ZERO_V, dof, 21, 2.0, 1.0, 1.0)
+        coef = rng.uniform(-1.5, 1.5, dof)
+        lin = pde.nodes @ coef + 0.5
+        for x in (rng.uniform(-2.0, 2.0, dof), np.full(dof, 2.0), np.full(dof, -2.0)):
+            assert value_at(pde, lin, x) == pytest.approx(x @ coef + 0.5, abs=1e-12)
+        outside = np.zeros(dof)
+        outside[-1] = 5.0
+        with pytest.raises(ValueError):
+            value_at(pde, lin, outside)
+
+
+def test_budget_bounds_the_oracle_error():
+    # |reference - Mehler| <= budget over dof, grid points (>= 41), box
+    # halfwidth and horizon; on the halfwidth-2 box at T = 1 the Richardson
+    # term alone misses the error, which is box truncation
+    v = lambda x: -0.5 * np.sum(x ** 2, axis=1)
+    phi0 = lambda x: np.ones(x.shape[0])
+    cases = [(dof, pts, hw, T) for dof, pts in ((1, 41), (1, 201), (2, 41), (2, 81))
+             for hw in (2.0, 5.0) for T in (0.25, 1.0)]
+    cases += [(3, 41, 2.0, 0.25), (3, 41, 5.0, 0.25)]
+    for dof, pts, hw, T in cases:
+        x0 = np.full(dof, 0.5)
+        ref, budget = discretization_budget(v, phi0, x0, T, 1.0, 1.0, dof, pts, hw)
+        error = abs(ref - mehler_value(x0, 1.0, 1.0, T))
+        assert error <= budget, (dof, pts, hw, T, error, budget)
+    x0 = np.zeros(1)
+    ref, budget = discretization_budget(v, phi0, x0, 1.0, 1.0, 1.0, 1, 41, 2.0)
+    richardson = abs(ref - solve_value(v, phi0, x0, 1.0, 1.0, 1.0, 1, 21, 2.0)) * 4.0 / 3.0
+    error = abs(ref - mehler_value(x0, 1.0, 1.0, 1.0))
+    assert richardson < error <= budget
+    assert error == pytest.approx(2.84e-2, abs=1e-4)
 
 
 def test_compare_verdicts():

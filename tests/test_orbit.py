@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform,
+from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform, jbar,
                                killing_doublet_matrix, killing_vector, potential,
                                projector_N, to_adapted, transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
@@ -84,7 +84,7 @@ def test_orbit_metric_inverse_and_logdet():
 @pytest.mark.parametrize("s,n", [(1, 5), (2, 3), (2, 4), (3, 4)])
 def test_stacked_geometry_matches_single_states(s, n):
     # a (3, 2, V) stack gives, state by state, the drift and Jacobian of the
-    # one-state geometry within 1e-12 relative
+    # one-state geometry within 1e-12 relative, and exactly its Jbar f~
     lat = Lattice(s, n)
     rng = np.random.default_rng(40 + 10 * s + n)
     fs = rng.standard_normal((3, 2, lat.n_sites))
@@ -92,7 +92,9 @@ def test_stacked_geometry_matches_single_states(s, n):
     df = geo.drift()
     rep = geo.jacobian(1.1, 0.9)
     assert df.shape == (3, 2, lat.n_sites)
+    assert np.array_equal(geo.jf, jbar(fs))
     for k in range(3):
+        assert np.array_equal(jbar(fs)[k], np.array([[0.0, 1.0], [-1.0, 0.0]]) @ fs[k])
         one = OrbitGeometry(lat, fs[k], 0.8)
         df1 = one.drift()
         rep1 = one.jacobian(1.1, 0.9)

@@ -165,6 +165,20 @@ def test_cmd_jacobian_zero_field_exit1(tmp_path):
     assert rows[1][-1].startswith("singular")
 
 
+@pytest.mark.parametrize("f1", [1e-6, 1e-200])
+def test_cmd_jacobian_refuses_fields_below_the_singularity_floor(tmp_path, f1):
+    # min |f~|^2 below the reduced step's floor: no geometry is built, the
+    # Jacobian columns stay empty and the exit code is 1, however the
+    # Cholesky factorization would have rounded
+    _, cfg = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": 4,
+                                      "jacobian.uniform_f1": f1})
+    assert cmd_jacobian(cfg) == 1
+    header, row = read_rows(tmp_path / "out" / "jacobian.csv")
+    assert row[header.index("status")].startswith("singular")
+    assert float(row[header.index("f_min_sq")]) == pytest.approx(f1 ** 2)
+    assert all(row[header.index(k)] == "" for k in ("logdet", "J", "V_correction"))
+
+
 def test_cmd_jacobian_non_finite_row_is_not_ok(tmp_path):
     # |f~|^2 = 1e400 overflows: the row says non-finite and the exit code is 1
     _, cfg = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": 4,
@@ -408,12 +422,13 @@ _BIG = {"lattice.dim": 3, "lattice.sites_per_dim": 9}     # V = 729 > MAX_DENSE_
     ("compare-oracle", {"oracle.dof": 4}),
     ("compare-oracle", {"oracle.grid_points": 2}),
     ("compare-oracle", {"oracle.grid_points": 3}),    # its Richardson grid has 2
+    ("compare-oracle", {"oracle.grid_points": 39}),   # the error budget needs 41
     ("compare-oracle", {"oracle.x0": 7.0}),
     ("check", _BIG),
     ("jacobian", _BIG),
     ("simulate", {**_BIG, "sde.process": "reduced"}),
-], ids=["oracle-dof-4", "oracle-2-points", "oracle-3-points", "oracle-x0-outside", "check-V729",
-        "jacobian-V729", "reduced-simulate-V729"])
+], ids=["oracle-dof-4", "oracle-2-points", "oracle-3-points", "oracle-39-points",
+        "oracle-x0-outside", "check-V729", "jacobian-V729", "reduced-simulate-V729"])
 def test_caps_refused_as_config_errors(tmp_path, monkeypatch, capsys, command, overrides):
     # a cap is a config error (exit 2, one line) found before any PDE solve,
     # path or CSV
