@@ -66,8 +66,9 @@ class FaddeevPopov:
 
     ``matrix`` is the composition div o grad; ``green`` its Moore-Penrose
     pseudo-inverse (symmetric, annihilates the kernel, in particular
-    green @ ones = 0).  ``kernel`` and ``range_basis`` are orthonormal bases
-    of ker(matrix) and of its complement range(matrix).
+    green @ ones = 0).  ``kernel`` is the closed-form orthonormal basis
+    :meth:`~.lattice.Lattice.zero_mode_basis` of ker(matrix) and
+    ``range_basis`` an orthonormal basis of its complement range(matrix).
     """
 
     matrix: np.ndarray
@@ -82,15 +83,23 @@ class FaddeevPopov:
 
 
 def faddeev_popov(lat):
-    """Build the gauge-fixing operator and Green function for a lattice."""
+    """Build the gauge-fixing operator and Green function for a lattice.
+
+    Lattice Fourier modes diagonalize Phi, with eigenvalues -sum_m sin^2(2 pi
+    k_m / N) / h^2, zero exactly on the modes of ``zero_mode_basis`` (each 2 k_m
+    a multiple of N); green convolves with the inverse transform of their
+    reciprocals, 0 on those modes.  No eigendecomposition, no inverse."""
     key = "fp_green"
     if key not in lat._cache:
-        w, U = np.linalg.eigh(lat.fp_matrix())
-        tol = 1e-10 * max(np.abs(w).max(), 1.0)
-        keep = np.abs(w) > tol
-        green = (U[:, keep] / w[keep]) @ U[:, keep].T
-        green = 0.5 * (green + green.T)
-        lat._cache[key] = FaddeevPopov(lat.fp_matrix(), green, U[:, ~keep], U[:, keep])
+        N, K = lat.spec.sites_per_dim, lat.zero_mode_basis()
+        k = np.arange(N)
+        lam = -sum(np.ix_(*[np.sin(2 * np.pi * k / N) ** 2] * lat.dim)) / lat.spacing ** 2
+        zero = sum(np.ix_(*[(2 * k) % N] * lat.dim)) == 0
+        g = np.fft.ifftn(np.divide(1.0, lam, out=np.zeros(lam.shape), where=~zero)).real
+        sites = np.unravel_index(np.arange(lat.n_sites), lat.shape)
+        green = g[tuple((x[:, None] - x) % N for x in sites)]      # green(x, y) = g(x - y)
+        range_basis = np.linalg.qr(K, mode="complete")[0][:, K.shape[1]:]
+        lat._cache[key] = FaddeevPopov(lat.fp_matrix(), 0.5 * (green + green.T), K, range_basis)
     return lat._cache[key]
 
 
@@ -160,22 +169,24 @@ def transverse_projector(lat):
 
     P = I - grad o green o div.  Symmetric and idempotent; kills gradients
     exactly and div(P v) = 0 exactly, because grad, div and the Green
-    function are built from the same central differences.
+    function are built from the same central differences.  The gradient is
+    applied as a stencil to the columns of :func:`green_divergence`.
     """
     key = "transverse_projector"
     if key not in lat._cache:
-        fp = faddeev_popov(lat)
-        G = lat.gradient_matrix()
-        P = np.eye(lat.dim * lat.n_sites) - G @ fp.green @ lat.divergence_matrix()
+        nA = lat.dim * lat.n_sites
+        P = np.eye(nA) - lat.gradient(green_divergence(lat)).reshape(nA, nA)
         lat._cache[key] = 0.5 * (P + P.T)
     return lat._cache[key]
 
 
 def green_divergence(lat):
-    """Dense (V x sV) product green @ div, cached per lattice."""
+    """Dense (V x sV) product green @ div, cached per lattice: green is
+    symmetric and div^T = -grad, so it is -(grad o green)^T, a stencil."""
     key = "green_div"
     if key not in lat._cache:
-        lat._cache[key] = faddeev_popov(lat).green @ lat.divergence_matrix()
+        grad_green = lat.gradient(faddeev_popov(lat).green).reshape(-1, lat.n_sites)
+        lat._cache[key] = np.ascontiguousarray(-grad_green.T)
     return lat._cache[key]
 
 

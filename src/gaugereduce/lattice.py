@@ -95,15 +95,15 @@ class Lattice:
     # ------------------------------------------------------------------
     # field validation helpers
     # ------------------------------------------------------------------
-    def check_scalar(self, u):
+    def check_scalar(self, u, trailing=False):
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.n_sites,):
+        if (u.shape[:1] if trailing else u.shape) != (self.n_sites,):
             raise ValueError(f"scalar field must have shape {(self.n_sites,)}, got {u.shape}")
         return u
 
-    def check_vector(self, v):
+    def check_vector(self, v, trailing=False):
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim, self.n_sites):
+        if (v.shape[:2] if trailing else v.shape) != (self.dim, self.n_sites):
             raise ValueError(
                 f"vector field must have shape {(self.dim, self.n_sites)}, got {v.shape}")
         return v
@@ -119,8 +119,9 @@ class Lattice:
     # calculus
     # ------------------------------------------------------------------
     def gradient(self, u):
-        """Central-difference gradient of a scalar field, shape (s, V)."""
-        u = self.check_scalar(u)
+        """Central-difference gradient of a scalar field, shape (s, V); trailing
+        axes of u (V, ...) ride along, so gradient_matrix() @ X is a row gather."""
+        u = self.check_scalar(u, trailing=True)
         inv = 0.5 / self.spacing
         return np.stack([(u[p] - u[m]) * inv for p, m in zip(self._plus, self._minus)])
 
@@ -128,10 +129,12 @@ class Lattice:
         """Central-difference divergence of a vector field, shape (V,).
 
         Exact negative adjoint of :meth:`gradient` under the site inner product.
+        Trailing axes of v (s, V, ...) ride along; as div^T = -grad, X @ div is
+        -gradient(X^T)^T and X @ grad is -divergence(X^T)^T.
         """
-        v = self.check_vector(v)
+        v = self.check_vector(v, trailing=True)
         inv = 0.5 / self.spacing
-        out = np.zeros(self.n_sites)
+        out = np.zeros(v.shape[1:])
         for m, (p, mn) in enumerate(zip(self._plus, self._minus)):
             out += (v[m][p] - v[m][mn]) * inv
         return out
@@ -171,8 +174,8 @@ class Lattice:
         additionally the staggered modes for even N.
         """
         if "fp" not in self._cache:
-            M = self.divergence_matrix() @ self.gradient_matrix()
-            self._cache["fp"] = 0.5 * (M + M.T)
+            self._require_dense()
+            self._cache["fp"] = self.divergence(self.gradient(np.eye(self.n_sites)))
         return self._cache["fp"]
 
     def zero_mode_basis(self):

@@ -32,9 +32,11 @@ Two sitewise facts collapse every contraction to a closed form in Dinv:
 with u = g0 Jbar f~, f~ . u = 0 at each site, and P kills gradients.  So
 the potential-sector drift (its Christoffel part, j1 and j2) is
 identically zero, j1 vanishes in the scalar sector too, j2 = sigma'/4 and
-grad_term = |sigma'|^2.  With d = diag(Dinv), G = -green and one V^3 product
+grad_term = |sigma'|^2.  With d = diag(Dinv), G = -green and K the kernel
+basis of Phi = div o grad (D = -Phi + diag(|u|^2), Phi green = I - KK^T),
 
-    W = Dinv + Dinv diag(|u|^2) G,      w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2,
+    W = Dinv + Dinv diag(|u|^2) G = (Dinv K) K^T - green,
+    w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2,
 
 the scalar drift and the Laplace term are
 
@@ -184,14 +186,17 @@ def horizontal_metric(lat, c, g0):
     # = -green: I - u u^T o green for u = g0 Jbar f~, exactly symmetric
     u = g0 * jbar(f_tilde).reshape(-1)
     h_ab = np.eye(2 * lat.n_sites) + u[:, None] * u[None, :] * np.tile(-fp.green, (2, 2))
+    # h_Ag = P (green div)^T = -(P grad) green = (div P)^T green, div P a stencil;
+    # h_ag = K_f green scales row (a, x) of green by u^a(x)
+    divP = lat.divergence(P.reshape(lat.dim, lat.n_sites, -1))
     return HorizontalMetric(
         g_AA=P,
         g_fg=Kf,
         g_gg=D,
         h_AB=P,
         h_ab=h_ab,
-        h_Ag=P @ green_divergence(lat).T,
-        h_ag=Kf @ fp.green,
+        h_Ag=divP.T @ fp.green,
+        h_ag=u[:, None] * np.tile(fp.green, (2, 1)),
         h_gg=-fp.green,
         basis=fp.range_basis,
     )
@@ -203,10 +208,11 @@ class OrbitGeometry:
     leading axes.
 
     Construction factorizes the orbit metric (``metric``) and inverts it once
-    (``Dinv``), so a degenerate orbit raises :class:`SingularOrbitMetric`
-    here.  The gauge maps apply matrix-free to tangent vectors; sigma'
-    (``grad_f``), the terms diag W and w of the drift and the Jacobian and,
-    only when read, sigma'' (``hess_ff``) are each built at most once.
+    (``Dinv``: one LU inverse of D per state, then symmetrized), so a
+    degenerate orbit raises :class:`SingularOrbitMetric` here.  The gauge
+    maps apply matrix-free to tangent vectors; sigma' (``grad_f``), the
+    terms diag W and w of the drift and the Jacobian and, only when read,
+    sigma'' (``hess_ff``) are each built at most once.
     """
 
     def __init__(self, lat, f_tilde, g0):
@@ -214,8 +220,7 @@ class OrbitGeometry:
         self.f_tilde = lat.check_doublet(f_tilde, stacked=True)
         self.g0 = g0
         self.metric = orbit_metric(lat, self.f_tilde, g0)
-        chol_inv = np.linalg.inv(self.metric.chol)
-        Dinv = np.swapaxes(chol_inv, -2, -1) @ chol_inv
+        Dinv = np.linalg.inv(self.metric.D)
         self.Dinv = 0.5 * (Dinv + np.swapaxes(Dinv, -2, -1))
         self.jf = jbar(self.f_tilde)
         self.u2 = g0 ** 2 * (self.f_tilde[..., 0, :] ** 2 + self.f_tilde[..., 1, :] ** 2)  # |u|^2
@@ -264,12 +269,16 @@ class OrbitGeometry:
     @cached_property
     def _green_terms(self):
         """(diag W, w) with W = Dinv + Dinv diag(|u|^2) G, G = -green, and
-        w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2: one V^3 product per state,
-        and W itself is not kept."""
-        Dinv, u2 = self.Dinv, self.u2
-        W = Dinv - Dinv @ (u2[..., :, None] * faddeev_popov(self.lat).green)
-        return (np.diagonal(W, axis1=-2, axis2=-1).copy(),
-                np.sum(W * Dinv * u2[..., None, :], axis=-1))
+        w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2.  As Dinv diag(|u|^2) =
+        I + Dinv Phi and Phi green = I - KK^T (K the kernel basis),
+        W = (Dinv K) K^T - green: O(kV^2) a state; W itself is not kept."""
+        fp, Dinv = faddeev_popov(self.lat), self.Dinv
+        W = (Dinv @ fp.kernel) @ fp.kernel.T
+        W -= fp.green
+        diag_W = np.diagonal(W, axis1=-2, axis2=-1).copy()
+        W *= Dinv
+        W *= self.u2[..., None, :]
+        return diag_W, np.sum(W, axis=-1)
 
     def drift(self):
         """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced

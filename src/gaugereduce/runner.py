@@ -268,11 +268,14 @@ def _sigma_gradient_fd(x):
 # (name, tolerance, residual(sample)), read by `check` and the acceptance suite
 INVARIANTS = (
     ("projector_idempotent", 1e-10, lambda x: np.abs(x.P @ x.P - x.P).max()),
-    ("projector_kills_gradients", 1e-10, lambda x: np.abs(x.P @ x.lat.gradient_matrix()).max()),
-    ("divergence_of_projection", 1e-10, lambda x: np.abs(x.lat.divergence_matrix() @ x.P).max()),
+    # stencils: P grad = -(div P^T)^T, div P and Phi green = div(grad green)
+    ("projector_kills_gradients", 1e-10, lambda x: np.abs(x.lat.divergence(
+        x.P.T.reshape(x.lat.dim, x.lat.n_sites, -1))).max()),
+    ("divergence_of_projection", 1e-10, lambda x: np.abs(x.lat.divergence(
+        x.P.reshape(x.lat.dim, x.lat.n_sites, -1))).max()),
     ("projector_N_kills_gauge_directions", 1e-10, _frame_kills_gauge),
-    ("fp_pseudo_identity", 1e-10,
-     lambda x: np.abs(x.fp.matrix @ x.fp.green - x.fp.range_projector()).max()),
+    ("fp_pseudo_identity", 1e-10, lambda x: np.abs(
+        x.lat.divergence(x.lat.gradient(x.fp.green)) - x.fp.range_projector()).max()),
     ("fp_green_symmetric", 1e-12, lambda x: np.abs(x.fp.green - x.fp.green.T).max()),
     ("fp_green_kills_constants", 1e-12,
      lambda x: np.abs(x.fp.green @ np.ones(x.lat.n_sites)).max()),

@@ -390,11 +390,12 @@ def reduced_batch_diagnostics(lat, initial, g0, cfg):
         ends[lo + rows[keep]] = x[keep]
         done[lo + rows[keep]] = True
 
-    # a row holds a path's noise (n_steps x d normals), at most 7 V x V
-    # arrays (the step's own geometry peaks at six: D, chol and Dinv beside
-    # three temporaries of the inverse or of W and w) and 6 d-vectors of
-    # states and increments (tracemalloc: up to 5.1 on small lattices)
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 7 * V * V))
+    # a row holds a path's noise (n_steps x d normals), at most 5 V x V
+    # arrays (tracemalloc: the step's own geometry peaks at 3.85 to 4.05,
+    # D and chol beside the inverse and its symmetrized copy, later Dinv
+    # and W) and 6 d-vectors of states and increments (up to 5.1 on small
+    # lattices)
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 5 * V * V))
     ends = ends[done]
     return (cfg.n_paths - len(ends)) / cfg.n_paths, ends
 

@@ -11,6 +11,10 @@ from gaugereduce.gauge import (FieldPair, faddeev_popov, from_adapted,
 from gaugereduce.lattice import Lattice, flat
 
 
+# (1, 2) has Phi = 0 and so green = 0; odd and even N otherwise
+GREEN_LATTICES = [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (2, 16)]
+
+
 def random_pair(lat, rng, g0=0.8):
     return FieldPair(lat.random_vector(rng), lat.random_doublet(rng), g0)
 
@@ -199,6 +203,17 @@ def test_faddeev_popov_inverse_odd_n():
     u -= u.mean()
     assert np.abs(fp.green @ (fp.matrix @ u) - u).max() <= 1e-10
     assert np.abs(fp.matrix @ (fp.green @ u) - u).max() <= 1e-10
+    # the closed-form Green function is the eigh-built pseudo-inverse, and
+    # Phi green is the pseudo-identity I - KK^T, odd and even N alike
+    for s, n in GREEN_LATTICES:
+        lat = Lattice(s, n)
+        fp = faddeev_popov(lat)
+        w, U = np.linalg.eigh(fp.matrix)
+        keep = np.abs(w) > 1e-10 * max(np.abs(w).max(), 1.0)
+        pinv = (U[:, keep] / w[keep]) @ U[:, keep].T
+        assert np.abs(fp.green - pinv).max() <= 1e-12 * np.abs(pinv).max()
+        target = np.eye(lat.n_sites) - fp.kernel @ fp.kernel.T
+        assert np.abs(fp.matrix @ fp.green - target).max() <= 1e-12
 
 
 def test_faddeev_popov_even_n_kernel():
@@ -210,6 +225,16 @@ def test_faddeev_popov_even_n_kernel():
     assert fp.kernel.shape[1] == B.shape[1] == 4
     target = np.eye(lat.n_sites) - B @ B.T
     assert np.abs(fp.matrix @ fp.green - target).max() <= 1e-10
+    # the kernel spans zero_mode_basis; range_basis completes it orthonormally
+    for s, n in GREEN_LATTICES:
+        lat = Lattice(s, n)
+        fp, B = faddeev_popov(lat), lat.zero_mode_basis()
+        V, k = lat.n_sites, B.shape[1]
+        assert fp.kernel.shape == (V, k) and fp.range_basis.shape == (V, V - k)
+        assert np.abs(fp.kernel @ fp.kernel.T - B @ B.T).max() <= 1e-14
+        R = fp.range_basis
+        assert np.abs(R.T @ R - np.eye(V - k)).max(initial=0.0) <= 1e-14
+        assert np.abs(R.T @ B).max(initial=0.0) <= 1e-14
 
 
 def test_potential_zero_configuration():

@@ -68,6 +68,22 @@ def test_div_grad_matches_matrix_composition():
     via_ops = lat.divergence(lat.gradient(u))
     via_mat = lat.fp_matrix() @ u
     assert_allclose(via_ops, via_mat, atol=1e-13)
+    # with trailing axes the stencils are the dense products G X and div Y, and
+    # (div^T = -grad) their transposes give Z div and W G; N = 2 wraps onto itself
+    for s in (1, 2, 3):
+        for n in (2, 3, 4, 5):
+            for h in (1.0, 0.7):
+                lat = Lattice(s, n, h)
+                V, G, div = lat.n_sites, lat.gradient_matrix(), lat.divergence_matrix()
+                X, Y = rng.standard_normal((V, 3)), rng.standard_normal((s * V, 3))
+                Z, W = rng.standard_normal((3, V)), rng.standard_normal((3, s * V))
+                for dense, stencil in [
+                        (G @ X, lat.gradient(X).reshape(s * V, 3)),
+                        (div @ Y, lat.divergence(Y.reshape(s, V, 3))),
+                        (Z @ div, -lat.gradient(Z.T).reshape(s * V, 3).T),
+                        (W @ G, -lat.divergence(W.T.reshape(s, V, 3)).T)]:
+                    assert stencil.shape == dense.shape
+                    assert np.abs(stencil - dense).max() <= 1e-15 * np.abs(dense).max()
 
 
 def test_div_grad_eigenvector_oracle():

@@ -81,10 +81,12 @@ def test_orbit_metric_inverse_and_logdet():
     assert abs(om.logdet - np.sum(np.log(evals))) <= 1e-8
 
 
-@pytest.mark.parametrize("s,n", [(1, 5), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("s,n", [(1, 5), (2, 3), (2, 4), (3, 4), (3, 5)])
 def test_stacked_geometry_matches_single_states(s, n):
-    # a (3, 2, V) stack gives, state by state, the drift and Jacobian of the
-    # one-state geometry within 1e-12 relative, and exactly its Jbar f~
+    # a (3, 2, V) stack gives, state by state, bitwise the Dinv, drift and J
+    # of the one-state geometry, its other Jacobian terms within 1e-12
+    # relative, and exactly its Jbar f~; Dinv is exactly symmetric and agrees
+    # with the inverse of D within 1e-13 relative
     lat = Lattice(s, n)
     rng = np.random.default_rng(40 + 10 * s + n)
     fs = rng.standard_normal((3, 2, lat.n_sites))
@@ -93,12 +95,17 @@ def test_stacked_geometry_matches_single_states(s, n):
     rep = geo.jacobian(1.1, 0.9)
     assert df.shape == (3, 2, lat.n_sites)
     assert np.array_equal(geo.jf, jbar(fs))
+    assert np.array_equal(geo.Dinv, np.swapaxes(geo.Dinv, -2, -1))
+    inv = np.linalg.inv(geo.metric.D)
+    assert np.abs(geo.Dinv - inv).max() <= 1e-13 * np.abs(inv).max()
     for k in range(3):
         assert np.array_equal(jbar(fs)[k], np.array([[0.0, 1.0], [-1.0, 0.0]]) @ fs[k])
         one = OrbitGeometry(lat, fs[k], 0.8)
         df1 = one.drift()
         rep1 = one.jacobian(1.1, 0.9)
-        assert np.abs(df[k] - df1).max() <= 1e-12 * np.abs(df1).max()
+        assert np.array_equal(geo.Dinv[k], one.Dinv)
+        assert np.array_equal(df[k], df1)
+        assert rep.J[k] == rep1.J
         for name in ("J", "laplace_term", "grad_term", "logdet"):
             want = getattr(rep1, name)
             assert abs(getattr(rep, name)[k] - want) <= 1e-12 * abs(want)

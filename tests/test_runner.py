@@ -67,6 +67,16 @@ def test_parse_rejects_bad_values():
             parse_config(text + "\n")
 
 
+def test_check_passes_on_long_chains(tmp_path):
+    # the Green function is built in closed form, so green @ 1 stays within
+    # the 1e-12 of `fp_green_kills_constants` on 1-d lattices of 64 and 101 sites
+    for n in (64, 101):
+        path, _ = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": n})
+        assert main(["check", str(path)]) == 0
+        rows = read_rows(tmp_path / "out" / "check.csv")
+        assert all(row[3] == "pass" for row in rows[1:])
+
+
 def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("lattice.sites_per_dim = 1\n")
