@@ -17,6 +17,10 @@ truncation of R^d to the grid box.
 Closed forms for the two classic benchmarks are included: heat-kernel
 smoothing of a Gaussian (V = 0) and the quadratic-potential (Mehler kernel)
 value for V(x) = -(1/2) omega^2 |x|^2 with Gaussian or flat phi0.
+
+scipy is imported inside :func:`build_generator` and :func:`evolve`, the
+only code in the package that uses it, so importing ``gaugereduce`` and every
+command but ``compare-oracle`` run without loading it.
 """
 
 import functools
@@ -24,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import expm_multiply
 
 MAX_DOF = 3
 
@@ -38,7 +40,7 @@ class GridPDE:
     points_per_dof: int
     axis: np.ndarray           # 1-d node coordinates, shared by all dofs
     nodes: np.ndarray          # (n_nodes, dof) coordinates
-    generator: scipy.sparse.csr_matrix
+    generator: "scipy.sparse.csr_matrix"
 
     @property
     def spacing(self):
@@ -64,6 +66,7 @@ def build_generator(v, dof, points_per_dof, halfwidth, mu, kappa):
         raise ValueError(f"oracle is desk-scale by design: dof must be 1..{MAX_DOF}")
     if points_per_dof < 3:
         raise ValueError(f"need at least 3 grid points per dof, got {points_per_dof}")
+    import scipy.sparse
     g = points_per_dof
     axis = np.linspace(-halfwidth, halfwidth, g)
     h = axis[1] - axis[0]
@@ -83,6 +86,7 @@ def evolve(pde, phi0_grid, T):
         raise ValueError("T must be nonnegative")
     if T == 0:
         return np.array(phi0_grid, dtype=float)
+    from scipy.sparse.linalg import expm_multiply
     return expm_multiply(pde.generator * T, np.asarray(phi0_grid, dtype=float))
 
 

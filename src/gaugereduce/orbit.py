@@ -116,17 +116,28 @@ class HorizontalMetric:
     def pseudoinverse_residual(self):
         """Max-abs residual of (pseudo-inverse) @ (metric) against
         blockdiag(P_perp, I, I), gauge sector in the reduced basis.  Only the
-        eight nonzero blocks of the product are formed, from KB = g_fg B,
-        DB = B^T g_gg B, HAg = h_Ag B, Hag = h_ag B and Hgg = B^T h_gg B; its
-        FA block vanishes identically because h_Ab, g_Af and g_Ag do."""
+        eight nonzero blocks of the product are formed, each once and in
+        place, from KB = g_fg B, DB = B^T g_gg B, HAg = h_Ag B, Hag = h_ag B
+        and Hgg = B^T h_gg B; its FA block vanishes identically because h_Ab,
+        g_Af and g_Ag do."""
         B = self.basis
         KB, HAg, Hag = self.g_fg @ B, self.h_Ag @ B, self.h_ag @ B
-        DB, Hgg = B.T @ self.g_gg @ B, B.T @ self.h_gg @ B
-        I_f, I_g = np.eye(KB.shape[0]), np.eye(B.shape[1])
-        blocks = (self.h_AB @ self.g_AA - self.h_AB, HAg @ KB.T, HAg @ DB,        # AA AF AG
-                  self.h_ab + Hag @ KB.T - I_f, self.h_ab @ KB + Hag @ DB,         # FF FG
-                  HAg.T @ self.g_AA, Hag.T + Hgg @ KB.T, Hag.T @ KB + Hgg @ DB - I_g)  # GA GF GG
-        return float(max(np.abs(b).max(initial=0.0) for b in blocks))   # r = 0 at N = 2
+        DB, Hgg = B.T @ (self.g_gg @ B), B.T @ (self.h_gg @ B)
+        AA = self.h_AB @ self.g_AA
+        AA -= self.h_AB
+        FF = Hag @ KB.T
+        FF += self.h_ab
+        FF.flat[::FF.shape[0] + 1] -= 1.0
+        FG = self.h_ab @ KB
+        FG += Hag @ DB
+        GF = Hgg @ KB.T
+        GF += Hag.T
+        GG = Hag.T @ KB
+        GG += Hgg @ DB
+        GG.flat[::GG.shape[0] + 1] -= 1.0
+        blocks = (AA, HAg @ KB.T, HAg @ DB, FF, FG, HAg.T @ self.g_AA, GF, GG)
+        # a NaN in any block gives NaN; r = 0 at N = 2 leaves empty blocks
+        return float(np.max([max(b.max(initial=0.0), -b.min(initial=0.0)) for b in blocks]))
 
 
 @dataclass

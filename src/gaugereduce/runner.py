@@ -267,7 +267,8 @@ def _sigma_gradient_fd(x):
 
 # (name, tolerance, residual(sample)), read by `check` and the acceptance suite
 INVARIANTS = (
-    ("projector_idempotent", 1e-10, lambda x: np.abs(x.P @ x.P - x.P).max()),
+    # P^T P = P holds for orthogonal projectors only; an oblique one fails it
+    ("projector_idempotent", 1e-10, lambda x: np.abs(x.P.T @ x.P - x.P).max()),
     # stencils: P grad = -(div P^T)^T, div P and Phi green = div(grad green)
     ("projector_kills_gradients", 1e-10, lambda x: np.abs(x.lat.divergence(
         x.P.T.reshape(x.lat.dim, x.lat.n_sites, -1))).max()),

@@ -295,7 +295,7 @@ def _dense_pseudoinverse_residual(hm):
     return float(np.abs(Gi @ Gt - target).max())
 
 
-@pytest.mark.parametrize("s,n", [(1, 2), (2, 2), (2, 3), (2, 4), (1, 5), (3, 4)])
+@pytest.mark.parametrize("s,n", [(1, 2), (2, 2), (2, 3), (2, 4), (1, 5), (3, 4), (3, 5)])
 def test_pseudoinverse_identity(s, n):
     lat = Lattice(s, n)
     rng = np.random.default_rng(8)
@@ -323,6 +323,19 @@ def test_pseudoinverse_residual_sees_every_block(block):
     residual = hm.pseudoinverse_residual()
     assert residual > 1e-7
     assert abs(residual - _dense_pseudoinverse_residual(hm)) <= 1e-13
+
+
+def test_pseudoinverse_residual_propagates_nan():
+    # a NaN in any stored block makes the residual NaN, so the check row fails
+    lat = Lattice(2, 3)
+    rng = np.random.default_rng(8)
+    p = FieldPair(lat.random_vector(rng), lat.random_doublet(rng), 0.8)
+    for block in ("g_AA", "h_AB", "g_fg", "g_gg", "h_ab", "h_Ag", "h_ag", "h_gg"):
+        hm = horizontal_metric(lat, to_adapted(lat, p), 0.8)
+        damaged = getattr(hm, block).copy()
+        damaged[0, 0] = np.nan
+        setattr(hm, block, damaged)
+        assert np.isnan(hm.pseudoinverse_residual()), block
 
 
 @pytest.mark.parametrize("large", [("h_AB", "g_AA"), ("h_Ag", "g_fg"), ("h_Ag", "g_gg"),

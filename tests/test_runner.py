@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,23 @@ def test_cmd_check_corrupted_projector_fails(tmp_path, monkeypatch):
     assert cmd_check(cfg) == 1
     rows = read_rows(tmp_path / "out" / "check.csv")
     assert {r[0] for r in rows[1:] if r[3] == "fail"} == {"projector_idempotent"}
+
+
+def test_cmd_check_oblique_projector_fails(tmp_path, monkeypatch):
+    # Q = P + P X (I - P) is idempotent but not symmetric: Q Q = Q passes it,
+    # Q^T Q = Q does not
+    _, cfg = make_config(tmp_path)
+    projector = runner.transverse_projector
+
+    def oblique(lat):
+        P = projector(lat)
+        X = 1e-3 * np.random.default_rng(5).standard_normal(P.shape)
+        return P + P @ X @ (np.eye(P.shape[0]) - P)
+
+    monkeypatch.setattr(runner, "transverse_projector", oblique)
+    assert cmd_check(cfg) == 1
+    rows = read_rows(tmp_path / "out" / "check.csv")
+    assert "projector_idempotent" in {r[0] for r in rows[1:] if r[3] == "fail"}
 
 
 @pytest.mark.parametrize("s,n", [(1, 2), (1, 3), (2, 4), (3, 4)])
@@ -465,3 +486,34 @@ def test_original_simulate_runs_above_dense_cap(tmp_path):
 def test_main_runs_check(tmp_path):
     path, _ = make_config(tmp_path)
     assert main(["check", str(path)]) == 0
+
+
+def test_only_compare_oracle_imports_scipy(tmp_path):
+    # a fresh process runs check, jacobian and both simulate processes without
+    # loading scipy; the backward-equation oracle of compare-oracle loads it
+    lattice = {"lattice.dim": 2, "lattice.sites_per_dim": 3}
+    runs = [("check", {}), ("jacobian", {}),
+            ("simulate", {"sde.process": "reduced", "sde.n_steps": 10, "sde.n_paths": 20}),
+            ("simulate", {"sde.process": "original", "sde.n_steps": 10, "sde.n_paths": 20})]
+    paths = []
+    for i, (command, overrides) in enumerate(runs):
+        (tmp_path / str(i)).mkdir()
+        path, _ = make_config(tmp_path / str(i), **lattice, **overrides)
+        paths.append((command, str(path)))
+    (tmp_path / "oracle").mkdir()
+    oracle, _ = make_config(tmp_path / "oracle", **{
+        "oracle.kind": "mehler", "oracle.dof": 1, "oracle.grid_points": 41,
+        "sde.dt": 0.01, "sde.n_steps": 100, "sde.n_paths": 2000})
+    script = f"""
+import sys
+from gaugereduce import runner
+for command, path in {paths!r}:
+    assert runner.main([command, path]) == 0, command
+    assert "scipy" not in sys.modules, command
+assert runner.main(["compare-oracle", {str(oracle)!r}]) == 0
+assert "scipy" in sys.modules
+"""
+    src = str(Path(runner.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
