@@ -38,7 +38,7 @@ from .kolmogorov import compare, discretization_budget
 from .lattice import MAX_DENSE_SITES, Lattice, LatticeSpec, flat
 from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
                     orbit_metric)
-from .sde import (SINGULARITY_FLOOR, SDEConfig, _reduce_estimate, feynman_kac,
+from .sde import (SINGULARITY_FLOOR, SDEConfig, _reduce_estimate, _row_sum, feynman_kac,
                   girsanov_check, path_rng, reduced_batch_diagnostics, worker_count)
 
 
@@ -243,12 +243,12 @@ class InvariantSample:
 def _frame_kills_gauge(x):
     """(P, N_f) K(eps) = 0 for eps in range(Phi), with the reduced step's N_f."""
     kA, kf = killing_vector(x.lat, x.p, x.fp.range_projector() @ x.eps)
-    return max(np.abs(x.P @ flat(kA)).max(), np.abs(x.geo.N_f(kA) + kf).max())
+    return np.max([np.abs(x.P @ flat(kA)).max(), np.abs(x.geo.N_f(kA) + kf).max()])
 
 
 def _round_trip(x):
     q = from_adapted(x.lat, x.c, x.p.g0)
-    return max(np.abs(q.A - x.p.A).max(), np.abs(q.f - x.p.f).max())
+    return np.max([np.abs(q.A - x.p.A).max(), np.abs(q.f - x.p.f).max()])
 
 
 def _gauge_invariance(x):
@@ -257,15 +257,16 @@ def _gauge_invariance(x):
 
 
 def _sigma_gradient_fd(x):
-    lat, f, g0, d, worst = x.lat, x.p.f, x.p.g0, 1e-5, 0.0
+    lat, f, g0, d, errors = x.lat, x.p.f, x.p.g0, 1e-5, []
     for a, site in [(0, 0), (1, lat.n_sites // 2)]:
         e = np.zeros_like(f); e[a, site] = d
         fd = (orbit_metric(lat, f + e, g0).logdet - orbit_metric(lat, f - e, g0).logdet) / (2 * d)
-        worst = max(worst, abs(fd - x.geo.grad_f[a, site]) / max(abs(fd), 1e-12))
-    return worst
+        errors.append(abs(fd - x.geo.grad_f[a, site]) / max(abs(fd), 1e-12))
+    return np.max(errors)
 
 
-# (name, tolerance, residual(sample)), read by `check` and the acceptance suite
+# (name, tolerance, residual(sample)), read by `check` and the acceptance suite;
+# residuals are combined with np.max, so a NaN anywhere gives a NaN residual
 INVARIANTS = (
     # P^T P = P holds for orthogonal projectors only; an oblique one fails it
     ("projector_idempotent", 1e-10, lambda x: np.abs(x.P.T @ x.P - x.P).max()),
@@ -353,7 +354,7 @@ def _phi0_fn(config, lat):
     hs = lat.spacing ** lat.dim
     if kind == "one":
         return lambda x: np.ones(x.shape[0])
-    return lambda x: hs * np.sum(x ** 2, axis=1)
+    return lambda x: hs * _row_sum(x ** 2)
 
 
 def _v_fn(config, lat):
@@ -361,7 +362,7 @@ def _v_fn(config, lat):
         return None
     om = config["simulate.omega"]
     hs = lat.spacing ** lat.dim
-    return lambda x: -0.5 * om ** 2 * hs * np.sum(x ** 2, axis=1)
+    return lambda x: -0.5 * om ** 2 * hs * _row_sum(x ** 2)
 
 
 def cmd_simulate(config):
@@ -400,7 +401,7 @@ def cmd_compare_oracle(config):
         omega = config["oracle.omega"]
         dof = config["oracle.dof"]
         x0 = np.full(dof, config["oracle.x0"])
-        v = lambda x: -0.5 * omega ** 2 * np.sum(x ** 2, axis=1)
+        v = lambda x: -0.5 * omega ** 2 * _row_sum(x ** 2)
         phi0 = lambda x: np.ones(x.shape[0])
         try:    # the oracle's caps refuse before any solve, so before any path
             pde_val, budget = discretization_budget(
@@ -425,11 +426,10 @@ def cmd_compare_oracle(config):
     pref = mu ** 2 * kappa
 
     def drift(x):
-        v1, v2 = x[:, :2], x[:, 2:]
-        r2 = v1 ** 2 + v2 ** 2
-        return pref * np.concatenate([v1, v2], axis=1) / np.concatenate([2 * r2, 2 * r2], axis=1)
+        r2 = 2 * (x[:, :2] ** 2 + x[:, 2:] ** 2)
+        return pref * x / np.concatenate([r2, r2], axis=1)
 
-    phi0 = lambda x: np.sum(x ** 2, axis=1)
+    phi0 = lambda x: _row_sum(x ** 2)
     e1, e2 = girsanov_check(cfg, flat(f0), drift, phi0)
     band = 3.0 * float(np.hypot(e1.std_error, e2.std_error))
     diff = abs(e1.mean - e2.mean)

@@ -40,6 +40,9 @@ np.sum in path order, and a reduced path's arithmetic does not depend on the
 paths stacked with it, so results are bitwise identical for a fixed (config,
 seed) regardless of the chunking and the worker thread count (set by the
 GAUGE_REDUCE_THREADS environment variable, an integer >= 1, default 1).
+The Euler loop reads a step's normals as one record of d doubles a path,
+and :func:`_row_sum` sums rows narrower than 8 column by column, in the
+order np.sum(axis=1) adds them there; both keep every bit.
 """
 
 import math
@@ -145,32 +148,61 @@ def _chunk_normals(seed, lo, hi, n_steps, dim):
     return out
 
 
+def _row_sum(a):
+    """np.sum(a, axis=1) of a 2-d array, byte for byte.
+
+    Below 8 columns numpy adds a row's entries in order into a zero, which
+    a loop over the columns repeats without numpy's per-row overhead; from
+    8 columns on numpy sums pairwise, so it is called as is.
+    """
+    if a.shape[1] >= 8:
+        return np.sum(a, axis=1)
+    out = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        out += a[:, j]
+    return out
+
+
 def _integrate_chunk(cfg, initial, z, step, v=None):
     """Euler-integrate one chunk of paths from the flat state ``initial``, (d,).
 
-    ``z`` holds the chunk's standard normals, (rows, n_steps, d).  Each step
-    calls ``step(x, dw) -> (x, keep)`` on the states of the rows still going,
-    (rows, d), and their Wiener increments; ``keep`` masks the rows of the
-    given x that go on (the returned x holds only those), or is None when
-    all do.  ``v``, if given, is integrated along each path by the
-    trapezoidal rule.  Returns the final states, the chunk rows they belong
-    to and those rows' exponents (1/mu^2 kappa) int v du.
+    ``z`` holds the chunk's standard normals, (rows, n_steps, d), with its
+    last axis contiguous.  Each step calls ``step(x, dw) -> (x, keep)`` on
+    the states of the rows still going, (rows, d), and their Wiener
+    increments; ``keep`` masks the rows of the given x that go on (the
+    returned x holds only those), or is None when all do.  ``v``, if given,
+    is integrated along each path by the trapezoidal rule.  Returns the
+    final states, the chunk rows they belong to and those rows' exponents
+    (1/mu^2 kappa) int v du (None without ``v``).
+
+    A step reads its normals with a path's d of them as one record, so
+    numpy copies one record a row instead of iterating over rows of a few
+    doubles; the increments are z[rows, k] * sqrt(dt) bit for bit.
     """
-    m = z.shape[0]
+    m, _, d = z.shape
     sqdt = math.sqrt(cfg.dt)
+    records = z.view(np.dtype((np.void, z.itemsize * d)))[..., 0]     # (m, n_steps)
+
+    def increments(k):      # no name holds a step's increments once the step returns
+        dw = (records[:, k].copy() if rows.size == m else records[rows, k]).view(z.dtype)
+        dw *= sqdt
+        return dw.reshape(-1, d)
+
     x = np.tile(initial, (m, 1))
     rows = np.arange(m)
-    acc = np.zeros(m)
-    vprev = v(x) if v is not None else None
+    if v is not None:
+        acc, vprev = np.zeros(m), v(x)
     for k in range(cfg.n_steps):
-        x, keep = step(x, (z[:, k] if rows.size == m else z[rows, k]) * sqdt)
+        x, keep = step(x, increments(k))
         if keep is not None:
-            rows, acc = rows[keep], acc[keep]
+            rows = rows[keep]
         if v is not None:
+            if keep is not None:
+                acc, vprev = acc[keep], vprev[keep]
             vcur = v(x)
-            acc += 0.5 * ((vprev if keep is None else vprev[keep]) + vcur) * cfg.dt
+            acc += 0.5 * (vprev + vcur) * cfg.dt
             vprev = vcur
-    return x, rows, acc / (cfg.mu ** 2 * cfg.kappa)
+    return x, rows, (acc / (cfg.mu ** 2 * cfg.kappa) if v is not None else None)
 
 
 def _flat_step(cfg, drift, noise_scale):
@@ -250,8 +282,8 @@ def girsanov_check(cfg, initial, drift_field, phi0):
 
         def reweighted(x, dw):
             b = drift_field(x)
-            ld[...] += (b * dw).sum(axis=1) / (cfg.mu * math.sqrt(cfg.kappa)) \
-                - (b * b).sum(axis=1) * cfg.dt / (2.0 * cfg.mu ** 2 * cfg.kappa)
+            ld[...] += _row_sum(b * dw) / (cfg.mu * math.sqrt(cfg.kappa)) \
+                - _row_sum(b * b) * cfg.dt / (2.0 * cfg.mu ** 2 * cfg.kappa)
             return driftless(x, dw)
 
         v2[lo:hi] = phi0(_integrate_chunk(cfg, initial, z, reweighted)[0])

@@ -1,6 +1,7 @@
 """Batch runner: config parsing, commands, CSV provenance, determinism."""
 
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -131,6 +132,55 @@ def test_cmd_check_oblique_projector_fails(tmp_path, monkeypatch):
     assert cmd_check(cfg) == 1
     rows = read_rows(tmp_path / "out" / "check.csv")
     assert "projector_idempotent" in {r[0] for r in rows[1:] if r[3] == "fail"}
+
+
+def _failing_rows(tmp_path, cfg):
+    assert cmd_check(cfg) == 1
+    rows = read_rows(tmp_path / "out" / "check.csv")
+    return {r[0]: r[1] for r in rows[1:] if r[3] == "fail"}
+
+
+def test_cmd_check_frame_row_propagates_nan(tmp_path, monkeypatch):
+    # a NaN in N_f K + K_f, the second residual the row combines, fails it
+    _, cfg = make_config(tmp_path)
+    N_f = orbit.OrbitGeometry.N_f
+
+    def poisoned(self, vA):
+        out = N_f(self, vA)
+        out.flat[1] = np.nan
+        return out
+
+    monkeypatch.setattr(orbit.OrbitGeometry, "N_f", poisoned)
+    assert _failing_rows(tmp_path, cfg) == {"projector_N_kills_gauge_directions": "nan"}
+
+
+def test_cmd_check_round_trip_row_propagates_nan(tmp_path, monkeypatch):
+    # a NaN in the reconstructed f~, the second residual the row combines, fails it
+    _, cfg = make_config(tmp_path)
+    from_adapted = runner.from_adapted
+
+    def poisoned(lat, c, g0):
+        q = from_adapted(lat, c, g0)
+        q.f[1, 0] = np.nan
+        return q
+
+    monkeypatch.setattr(runner, "from_adapted", poisoned)
+    assert _failing_rows(tmp_path, cfg) == {"adapted_round_trip": "nan"}
+
+
+def test_cmd_check_sigma_gradient_row_propagates_nan(tmp_path, monkeypatch):
+    # a NaN log-determinant in the second central difference fails the row
+    _, cfg = make_config(tmp_path)
+    metric, calls = runner.orbit_metric, []
+
+    def poisoned(lat, f, g0):
+        calls.append(None)
+        m = metric(lat, f, g0)
+        return dataclasses.replace(m, logdet=np.nan) if len(calls) == 3 else m
+
+    monkeypatch.setattr(runner, "orbit_metric", poisoned)
+    assert _failing_rows(tmp_path, cfg) == {"sigma_gradient_fd": "nan"}
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("s,n", [(1, 2), (1, 3), (2, 4), (3, 4)])

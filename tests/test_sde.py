@@ -407,11 +407,12 @@ def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
 
 
 @pytest.mark.parametrize("n_steps", [3, 100])
-@pytest.mark.parametrize("s,n", [(1, 3), (2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("s,n", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
 def test_reduced_chunk_peak_per_row_within_row_charge(monkeypatch, s, n, n_steps):
     # the traced chunk peak grows by at most the row charge per row; the
     # slope between chunks of 4 and 12 rows cancels the chunk's fixed cost
-    # (Philox objects, a few KB), which dominates the small-lattice rows
+    # (Philox objects, a few KB), which dominates the small-lattice rows;
+    # (1, 2), with d = 6, is the one reduced lattice with rows narrower than 8
     lat = Lattice(s, n)
     x0 = _uniform_start(lat)
     reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, n_steps, 2, 1))
@@ -434,6 +435,69 @@ def test_reduced_chunk_peak_per_row_within_row_charge(monkeypatch, s, n, n_steps
         tracemalloc.stop()
     (rows_a, peak_a, row_bytes), (rows_b, peak_b, _) = chunks
     assert (peak_b - peak_a) / (rows_b - rows_a) <= row_bytes
+
+
+def _row_sum_cases(rng, d, n):
+    """Random (n, d) arrays with signed zeros, infinities and NaNs, plus
+    an all-(-0.0) row and non-contiguous column slices of a wider array."""
+    a = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    pick = rng.random((n, d))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for i, value in enumerate(specials):
+        a[(pick >= 0.04 * i) & (pick < 0.04 * (i + 1))] = value
+    a[0] = -0.0
+    wide = rng.standard_normal((n, 2 * d + 3))
+    wide[0] = -0.0
+    return [a, wide[:, 3:3 + d], wide[:, 1::2][:, :d]]
+
+
+@pytest.mark.parametrize("n", [1, 7, 655, 4096])
+def test_row_sum_is_numpys_row_sum_bytewise(n):
+    # the column loop below 8 columns repeats numpy's in-order sum from +0.0
+    # (an all-(-0.0) row sums to +0.0); a numpy that changes its order fails here
+    rng = np.random.default_rng(n)
+    for d in range(1, 17):
+        for a in _row_sum_cases(rng, d, n):
+            with np.errstate(invalid="ignore"):
+                assert sde._row_sum(a).tobytes() == np.sum(a, axis=1).tobytes(), (d, a.strides)
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_integrate_chunk_reads_noise_as_the_manual_loop(d):
+    # a step's normals are read one record a path; the step drops rows
+    # through keep partway, and every step's increment is still
+    # z[rows, k] * sqrt(dt), byte for byte, as are the kept rows' exponents
+    n_steps = 37
+    cfg = SDEConfig(1.3, 0.7, 0.01, n_steps, 11, 4)
+    z = _chunk_normals(cfg.seed, 0, cfg.n_paths, n_steps, d)
+    x0 = np.linspace(-1.0, 1.0, d)
+    v = lambda x: -0.5 * np.sum(x ** 2, axis=1)
+
+    def dropping_step():
+        k = iter(range(n_steps))
+
+        def step(x, dw):
+            new = x - 0.1 * x * cfg.dt + dw
+            if next(k) in (2, 3, 20):
+                keep = np.arange(len(x)) % 3 != 1
+                return new[keep], keep
+            return new, None
+        return step
+
+    x, rows, exponents = sde._integrate_chunk(cfg, x0, z, dropping_step(), v)
+    ref, ref_rows, step = np.tile(x0, (cfg.n_paths, 1)), np.arange(cfg.n_paths), dropping_step()
+    acc, vprev = np.zeros(cfg.n_paths), v(ref)
+    for k in range(n_steps):
+        ref, keep = step(ref, z[ref_rows, k] * math.sqrt(cfg.dt))
+        if keep is not None:
+            ref_rows, acc, vprev = ref_rows[keep], acc[keep], vprev[keep]
+        acc += 0.5 * (vprev + v(ref)) * cfg.dt
+        vprev = v(ref)
+    assert len(rows) < cfg.n_paths
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert x.tobytes() == ref.tobytes()
+    assert exponents.tobytes() == (acc / (cfg.mu ** 2 * cfg.kappa)).tobytes()
+    assert sde._integrate_chunk(cfg, x0, z, dropping_step())[0].tobytes() == ref.tobytes()
 
 
 def test_reduced_two_site_chain_grows_like_original_process():
