@@ -16,8 +16,8 @@ from .gauge import (AdaptedCoords, FaddeevPopov, FieldPair, faddeev_popov,
                     killing_vector, potential, projector_N, rotate,
                     solve_gauge_parameter, to_adapted, transverse_projector)
 from .orbit import (HorizontalMetric, JacobianReport, OrbitGeometry, OrbitMetric,
-                    SingularOrbitMetric, horizontal_metric, orbit_metric,
-                    reduced_drift)
+                    SingularOrbitMetric, apply_N_f, horizontal_metric, orbit_metric,
+                    reduced_drift, scalar_drift)
 from .sde import (EXPONENT_GUARD, SINGULARITY_FLOOR, FKEstimate, SDEConfig,
                   feynman_kac, girsanov_check, path_rng,
                   reduced_batch_diagnostics, weak_convergence_estimates,

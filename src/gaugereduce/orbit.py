@@ -32,25 +32,28 @@ Two sitewise facts collapse every contraction to a closed form in Dinv:
 with u = g0 Jbar f~, f~ . u = 0 at each site, and P kills gradients.  So
 the potential-sector drift (its Christoffel part, j1 and j2) is
 identically zero, j1 vanishes in the scalar sector too, j2 = sigma'/4 and
-grad_term = |sigma'|^2.  With d = diag(Dinv), G = -green and K the kernel
-basis of Phi = div o grad (D = -Phi + diag(|u|^2), Phi green = I - KK^T),
+grad_term = |sigma'|^2.  With d = diag(Dinv) and K the kernel basis of
+Phi = div o grad (D = -Phi + diag(|u|^2), Phi green = I - KK^T, K^T Phi = 0),
+Dinv diag(|u|^2) = I + Dinv Phi turns the remaining Dinv products into
+diag green and q = diag(Dinv K K^T), and q cancels (README has the steps):
 
-    W = Dinv + Dinv diag(|u|^2) G = (Dinv K) K^T - green,
-    w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2,
+    drift_f      = 1/2 g0^2 green(x, x) f~,
+    laplace_term = g0^2 sum_x (4 d - 6 |u|^2 d^2),
+    J            = -(1/8) mu^2 kappa g0^2 sum_x d (4 - 5 |u|^2 d).
 
-the scalar drift and the Laplace term are
+The drift is the Ito term of the Coulomb rotation f~ = R(-g0 a) f,
+a = green div A, whose angle has variance g0^2 (-green(x, x)) per unit of
+A's noise, as (green div)(green div)^T = -green.  :func:`scalar_drift` and
+:func:`apply_N_f`, the reduced step's drift and noise map, read no orbit
+metric.  The potential-sector slots of sigma' and sigma'' vanish because D
+does not depend on the potential.
 
-    drift_f      = g0^2 f~ (d/2 - diag W + w/2),
-    laplace_term = sum_x [4 g0^2 d - 4 g0^2 |u|^2 d^2 + 2 g0^2 |u|^2 G(x,x) d]
-                   - sum_x 2 g0^2 |u|^2 (2 diag W - w) d.
-
-The potential-sector slots of sigma' and sigma'' vanish because D does not
-depend on the potential.
-:class:`OrbitGeometry` owns a state's factorization, inverse and gauge maps
-(connection, horizontal projection, N_f); :func:`orbit_metric` never
-inverts.  Every function taking f~ accepts a stack (..., 2, V) with one
-Cholesky factor and one matrix-vector product per state, so a state's
-result does not depend on how many states are stacked with it.
+:class:`OrbitGeometry` owns a state's factorization, inverse and the maps
+that read it (connection, horizontal projection, sigma derivatives,
+Jacobian); :func:`orbit_metric` never inverts.  Every function taking f~
+accepts a stack (..., 2, V) with one Cholesky factor and one matrix-vector
+product per state, so a state's result does not depend on how many states
+are stacked with it.
 
 log det D is the bare truncated value; no continuum regularization is
 applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
@@ -160,17 +163,24 @@ def _is_positive_definite(M):
     return True
 
 
-def orbit_metric(lat, f_tilde, g0):
-    """Assemble and factorize the orbit metric for scalar configuration f~,
-    shape (2, V) or a stack (..., 2, V)."""
+def _nonzero_doublet(lat, f_tilde):
+    """f~ as a doublet stack (..., 2, V); raises :class:`SingularOrbitMetric`
+    naming the states with f~ identically zero, where no orbit is lifted."""
     f_tilde = lat.check_doublet(f_tilde, stacked=True)
-    V = lat.n_sites
     zero = ~np.any(f_tilde, axis=(-2, -1))
     if np.any(zero):
         raise SingularOrbitMetric("orbit metric is singular for f~ identically zero",
                                   rows=np.flatnonzero(zero))
+    return f_tilde
+
+
+def orbit_metric(lat, f_tilde, g0):
+    """Assemble and factorize the orbit metric for scalar configuration f~,
+    shape (2, V) or a stack (..., 2, V)."""
+    f_tilde = _nonzero_doublet(lat, f_tilde)
+    V = lat.n_sites
     # G^T G = -(div o grad) because the central differences are antisymmetric
-    D = np.broadcast_to(-lat.fp_matrix(), zero.shape + (V, V)).copy()
+    D = np.broadcast_to(-lat.fp_matrix(), f_tilde.shape[:-2] + (V, V)).copy()
     sites = np.arange(V)
     D[..., sites, sites] += g0 ** 2 * (f_tilde[..., 0, :] ** 2 + f_tilde[..., 1, :] ** 2)
     try:
@@ -221,9 +231,8 @@ class OrbitGeometry:
     Construction factorizes the orbit metric (``metric``) and inverts it once
     (``Dinv``: one LU inverse of D per state, then symmetrized), so a
     degenerate orbit raises :class:`SingularOrbitMetric` here.  The gauge
-    maps apply matrix-free to tangent vectors; sigma' (``grad_f``), the
-    terms diag W and w of the drift and the Jacobian and, only when read,
-    sigma'' (``hess_ff``) are each built at most once.
+    maps apply matrix-free to tangent vectors; sigma' (``grad_f``) and, only
+    when read, sigma'' (``hess_ff``) are each built at most once.
     """
 
     def __init__(self, lat, f_tilde, g0):
@@ -250,12 +259,6 @@ class OrbitGeometry:
         return (vA - matvec(self.lat.gradient_matrix(), w).reshape(np.shape(vA)),
                 vf - self.g0 * self.jf * w[..., None, :])
 
-    def N_f(self, vA):
-        """Frame map N_f vA = -g0 Jbar f~ (green div vA) of potential directions
-        into the scalar sector, vA as for :meth:`connection`; (..., 2, V)."""
-        gd = matvec(green_divergence(self.lat), np.reshape(vA, self.lead + (-1,)))
-        return -self.g0 * self.jf * gd[..., None, :]
-
     @cached_property
     def grad_f(self):
         """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (..., 2, V)."""
@@ -277,49 +280,42 @@ class OrbitGeometry:
         hess = hess.reshape(self.lead + (2 * V, 2 * V))
         return 0.5 * (hess + np.swapaxes(hess, -2, -1))
 
-    @cached_property
-    def _green_terms(self):
-        """(diag W, w) with W = Dinv + Dinv diag(|u|^2) G, G = -green, and
-        w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2.  As Dinv diag(|u|^2) =
-        I + Dinv Phi and Phi green = I - KK^T (K the kernel basis),
-        W = (Dinv K) K^T - green: O(kV^2) a state; W itself is not kept."""
-        fp, Dinv = faddeev_popov(self.lat), self.Dinv
-        W = (Dinv @ fp.kernel) @ fp.kernel.T
-        W -= fp.green
-        diag_W = np.diagonal(W, axis1=-2, axis2=-1).copy()
-        W *= Dinv
-        W *= self.u2[..., None, :]
-        return diag_W, np.sum(W, axis=-1)
-
-    def drift(self):
-        """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced
-        dynamics, g0^2 f~ (d/2 - diag W + w/2), before the mu^2 kappa
-        prefactor; shape (..., 2, V).  The potential-sector drift is
-        identically zero."""
-        d = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
-        diag_W, w = self._green_terms
-        return self.g0 ** 2 * self.f_tilde * (0.5 * d - diag_W + 0.5 * w)[..., None, :]
-
     def jacobian(self, mu, kappa, m=1.0):
         """Exponential part of the reduction Jacobian and the potential
         correction, scalar sector only (the potential-sector slots of sigma'
         and sigma'' are identically zero).  Fields are floats for one state
-        and arrays over the leading axes for a stack."""
-        u2 = self.u2
+        and arrays over the leading axes for a stack.  laplace_term is
+        g0^2 sum_x (4 d - 6 |u|^2 d^2), d = diag Dinv (module docstring)."""
         d = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
-        G_xx = -np.diagonal(faddeev_popov(self.lat).green)
-        diag_W, w = self._green_terms
-        hess_term = np.sum(2.0 * d * (2.0 - 2.0 * u2 * d + u2 * G_xx), axis=-1)  # h^ab sigma_ab
-        gamma_term = np.sum(2.0 * u2 * d * (2.0 * diag_W - w), axis=-1)     # (h Gamma)^a sigma_a
-        laplace_term = self.g0 ** 2 * (hess_term - gamma_term)
+        laplace_term = self.g0 ** 2 * np.sum(d * (4.0 - 6.0 * self.u2 * d), axis=-1)
         grad_term = np.sum(self.grad_f ** 2, axis=(-2, -1))
         J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
         return JacobianReport(laplace_term, grad_term, J, J / m,
                               self.metric.logdet, self.lat.n_sites)
 
 
+def scalar_drift(lat, f_tilde, g0):
+    """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced
+    dynamics, 1/2 g0^2 green(x, x) f~ (module docstring), before the
+    mu^2 kappa / h^s prefactor; f_tilde (..., 2, V), the result likewise.
+    Raises :class:`SingularOrbitMetric` for a state with f~ identically
+    zero, where the reduction is undefined."""
+    f_tilde = _nonzero_doublet(lat, f_tilde)
+    return (0.5 * g0 ** 2 * np.diagonal(faddeev_popov(lat).green)) * f_tilde
+
+
+def apply_N_f(lat, f_tilde, g0, vA):
+    """Frame map N_f vA = -g0 Jbar f~ (green div vA) of potential directions
+    into the scalar sector: the reduced step's scalar noise and the map
+    ``check`` verifies.  f_tilde (..., 2, V), vA (..., s, V) or (..., sV);
+    returns (..., 2, V)."""
+    f_tilde = lat.check_doublet(f_tilde, stacked=True)
+    gd = matvec(green_divergence(lat), np.reshape(vA, f_tilde.shape[:-2] + (-1,)))
+    return -g0 * jbar(f_tilde) * gd[..., None, :]
+
+
 def reduced_drift(lat, c, g0):
     """Geometric drift of the reduced dynamics at c as (drift_A, drift_f):
     drift_A is an exact zero (s, V) field and drift_f is
-    :meth:`OrbitGeometry.drift`."""
-    return np.zeros((lat.dim, lat.n_sites)), OrbitGeometry(lat, c.f_tilde, g0).drift()
+    :func:`scalar_drift`."""
+    return np.zeros((lat.dim, lat.n_sites)), scalar_drift(lat, c.f_tilde, g0)

@@ -36,7 +36,7 @@ from .gauge import (FieldPair, faddeev_popov, from_adapted, gauge_transform,
                     killing_vector, potential, to_adapted, transverse_projector)
 from .kolmogorov import compare, discretization_budget
 from .lattice import MAX_DENSE_SITES, Lattice, LatticeSpec, flat
-from .orbit import (OrbitGeometry, SingularOrbitMetric, horizontal_metric,
+from .orbit import (OrbitGeometry, SingularOrbitMetric, apply_N_f, horizontal_metric,
                     orbit_metric)
 from .sde import (SINGULARITY_FLOOR, SDEConfig, _reduce_estimate, _row_sum, feynman_kac,
                   girsanov_check, path_rng, reduced_batch_diagnostics, worker_count)
@@ -243,7 +243,8 @@ class InvariantSample:
 def _frame_kills_gauge(x):
     """(P, N_f) K(eps) = 0 for eps in range(Phi), with the reduced step's N_f."""
     kA, kf = killing_vector(x.lat, x.p, x.fp.range_projector() @ x.eps)
-    return np.max([np.abs(x.P @ flat(kA)).max(), np.abs(x.geo.N_f(kA) + kf).max()])
+    return np.max([np.abs(x.P @ flat(kA)).max(),
+                   np.abs(apply_N_f(x.lat, x.p.f, x.p.g0, kA) + kf).max()])
 
 
 def _round_trip(x):

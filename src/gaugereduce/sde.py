@@ -16,20 +16,21 @@ paths are counted rather than silently discarded.
 The reduced process lives on the Coulomb surface:
 
     dA* = mu sqrt(kappa) P dw_A,
-    df~ = mu^2 kappa drift_f dt + mu sqrt(kappa) (N_f dw_A + dw_f),
+    df~ = (mu^2 kappa / h^s) drift_f dt + mu sqrt(kappa) (N_f dw_A + dw_f),
 
-with the closed-form scalar drift of :meth:`.orbit.OrbitGeometry.drift`; the
+with drift_f = 1/2 g0^2 green(x, x) f~ of :func:`.orbit.scalar_drift`, the
+Ito term of the Coulomb rotation under increments of variance dt / h^s; the
 potential-sector drift is identically zero.
 
 One Euler loop, :func:`_integrate_chunk`, integrates both processes in
 chunks of paths whose flat states are stacked along a leading axis.  The
 process is its step callable ``step(x, dw) -> (x, keep)``: a flat process
 steps x + drift(x) dt + sigma dw, and the reduced step of
-:func:`_reduced_step` builds one stacked :class:`~.orbit.OrbitGeometry` for
-the chunk's going paths and stops the paths it cannot step, which are
+:func:`_reduced_step` factorizes one stacked orbit metric for the chunk's
+going paths, inverting none, and stops the paths it cannot step, which are
 reported in the abort fraction.  A chunk's rows are capped so its noise
-(and, for the reduced process, its step's geometry) stays within about
-_CHUNK_BYTES.
+(and, for the reduced process, its step's orbit metrics) stays within
+about _CHUNK_BYTES.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
@@ -54,7 +55,7 @@ import numpy as np
 
 from .gauge import transverse_projector
 from .lattice import matvec
-from .orbit import OrbitGeometry, SingularOrbitMetric
+from .orbit import SingularOrbitMetric, apply_N_f, orbit_metric, scalar_drift
 
 EXPONENT_GUARD = 700.0
 SINGULARITY_FLOOR = 1e-10
@@ -333,13 +334,15 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
     return {dt: _reduce_estimate(values[dt]) for dt in dts}
 
 
-def _geometry_of_rows(lat, f, g0, keep):
-    """OrbitGeometry of the states f[keep], after clearing ``keep`` for the
-    states whose orbit metric is not positive definite; None if none is
-    left."""
+def _positive_definite_rows(lat, f, g0, keep):
+    """The states f[keep], after clearing ``keep`` for the states whose orbit
+    metric is not positive definite (one Cholesky factorization each, no
+    inverse); None if none is left."""
     while keep.any():
+        rows = f[keep]
         try:
-            return OrbitGeometry(lat, f[keep], g0)
+            orbit_metric(lat, rows, g0)
+            return rows
         except SingularOrbitMetric as exc:
             if not exc.rows.size:
                 raise
@@ -354,19 +357,19 @@ def _reduced_step(lat, g0, cfg):
     A row stops before the step when its A* or a sitewise |f~|^2 is not
     finite, when its min |f~|^2 is below the singularity floor or when its
     orbit metric is not positive definite; it stops after the step when one
-    drift displacement mu^2 kappa dt |drift_f| exceeds |f~| at some site,
-    since the Euler step has then left the scale on which the geometry was
-    evaluated.  One stacked :class:`OrbitGeometry` of the going rows gives
-    the drift and the scalar-sector noise N_f dw_A
-    (:meth:`~.orbit.OrbitGeometry.N_f`, the map ``check`` verifies); A* has
-    no drift, so one projector application gives both the noise P dw_A and
-    the re-projection onto div(A*) = 0.  The geometry is local to the call,
-    so it is freed before the next step builds its own.
+    drift displacement mu^2 kappa dt |drift_f| / h^s exceeds |f~| at a site,
+    since the Euler step has then left the scale on which the drift was
+    evaluated.  The drift (:func:`~.orbit.scalar_drift`) and the
+    scalar-sector noise N_f dw_A (:func:`~.orbit.apply_N_f`, the map
+    ``check`` verifies) read no orbit metric, so the metric is only
+    factorized, never inverted; A* has no drift, so one projector
+    application gives both the noise P dw_A and the re-projection onto
+    div(A*) = 0.
     """
     s, V = lat.dim, lat.n_sites
     nA = s * V
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
-    pref = cfg.mu ** 2 * cfg.kappa * cfg.dt
+    pref = cfg.mu ** 2 * cfg.kappa * cfg.dt / lat.spacing ** s
     P = transverse_projector(lat)
 
     def step(x, dw):
@@ -374,15 +377,15 @@ def _reduced_step(lat, g0, cfg):
         f2 = (f ** 2).sum(axis=-2)
         keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
                 & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
-        geo = _geometry_of_rows(lat, f, g0, keep)
-        if geo is None:
+        f = _positive_definite_rows(lat, f, g0, keep)
+        if f is None:
             return x[keep], keep
         dw = dw[keep]
-        move = pref * geo.drift()
-        NdwA = geo.N_f(dw[:, :nA])
+        move = pref * scalar_drift(lat, f, g0)
+        NdwA = apply_N_f(lat, f, g0, dw[:, :nA])
         new = np.empty((len(dw), s + 2, V))
         new[:, :s] = matvec(P, A[keep] + noise * dw[:, :nA]).reshape(-1, s, V)
-        np.add(geo.f_tilde + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),
+        np.add(f + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),
                out=new[:, s:])
         far = (move * move).sum(axis=-2) > f2[keep]
         if far.any():
@@ -422,12 +425,11 @@ def reduced_batch_diagnostics(lat, initial, g0, cfg):
         ends[lo + rows[keep]] = x[keep]
         done[lo + rows[keep]] = True
 
-    # a row holds a path's noise (n_steps x d normals), at most 5 V x V
-    # arrays (tracemalloc: the step's own geometry peaks at 3.85 to 4.05,
-    # D and chol beside the inverse and its symmetrized copy, later Dinv
-    # and W) and 6 d-vectors of states and increments (up to 5.1 on small
-    # lattices)
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 5 * V * V))
+    # a row holds a path's noise (n_steps x d normals), the step's D and its
+    # Cholesky factor (2 V x V arrays) and 6 d-vectors of states and increments
+    # (tracemalloc: 1.77 to 1.93 V x V beyond the noise and 6 d from V = 16 to
+    # 216, 5.8 d-vectors beyond the noise on (1, 2) and (1, 3))
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 2 * V * V))
     ends = ends[done]
     return (cfg.n_paths - len(ends)) / cfg.n_paths, ends
 

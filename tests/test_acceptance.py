@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugereduce import orbit
+from gaugereduce import orbit, sde
 from gaugereduce.gauge import FieldPair, faddeev_popov, potential
 from gaugereduce.kolmogorov import compare, discretization_budget
 from gaugereduce.lattice import Lattice, flat
@@ -344,10 +344,12 @@ def test_dropped_drift_term_fails_criterion_13(monkeypatch, mutation):
     # criterion 13 detects a reduced drift missing the orbit mean curvature
     # j2 = sigma'/4 or the Christoffel part drift - sigma'/4: Sigma |f|^4
     # leaves its band on every lattice
-    drift = orbit.OrbitGeometry.drift
-    wrong = {"without j2": lambda self: drift(self) - self.grad_f / 4,
-             "without Christoffel part": lambda self: self.grad_f / 4}[mutation]
-    monkeypatch.setattr(orbit.OrbitGeometry, "drift", wrong)
+    drift = orbit.scalar_drift
+    j2 = lambda lat, f, g0: OrbitGeometry(lat, f, g0).grad_f / 4
+    wrong = {"without j2": lambda lat, f, g0: drift(lat, f, g0) - j2(lat, f, g0),
+             "without Christoffel part": j2}[mutation]
+    for ns in (orbit, sde):
+        monkeypatch.setattr(ns, "scalar_drift", wrong)
     failing = [(r[0], r[1]) for r in _c13_rows() if not _c13_passes(r)]
     assert {lat for lat, name in failing if name == "sum |f|^4"} == set(C13_LATTICES)
 

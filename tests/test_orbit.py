@@ -4,20 +4,22 @@ The expensive claims are all checked against independent routes: finite
 differences of log det D for the sigma derivatives, finite differences of
 the degenerate horizontal-metric blocks for the Christoffel contraction,
 dense matrices for the matrix-free connection and N_f, an explicit index
-loop for j2, and the pre-derived two-site closed form for the reduction
-Jacobian.
+loop for j2, the orbit-metric inverse forms for the closed-form drift,
+Laplace term and J, and the pre-derived two-site closed form for the
+reduction Jacobian.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugereduce.gauge import (AdaptedCoords, FieldPair, gauge_transform, jbar,
-                               killing_doublet_matrix, killing_vector, potential,
+from gaugereduce.gauge import (AdaptedCoords, FieldPair, faddeev_popov, gauge_transform,
+                               jbar, killing_doublet_matrix, killing_vector, potential,
                                projector_N, to_adapted, transverse_projector)
 from gaugereduce.lattice import Lattice, LatticeSpec, flat
 from gaugereduce.orbit import (HorizontalMetric, OrbitGeometry, SingularOrbitMetric,
-                               horizontal_metric, orbit_metric, reduced_drift)
+                               apply_N_f, horizontal_metric, orbit_metric, reduced_drift,
+                               scalar_drift)
 
 
 def adapted(lat, f):
@@ -52,7 +54,8 @@ def test_orbit_metric_uniform_spectrum():
 
 def test_orbit_metric_never_inverts_geometry_inverts_once(monkeypatch):
     # orbit_metric (and so the sigma' finite differences of `check`) is
-    # inverse-free; a geometry inverts once, and its maps only read Dinv
+    # inverse-free, and so are the drift and N_f; a geometry inverts once,
+    # and its maps only read Dinv
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(1) or inv(M))
@@ -61,12 +64,12 @@ def test_orbit_metric_never_inverts_geometry_inverts_once(monkeypatch):
     f = lat.random_doublet(rng)
     om = orbit_metric(lat, f, 0.8)
     assert om.logdet == pytest.approx(np.linalg.slogdet(om.D)[1], abs=1e-12)
+    vA, vf = lat.random_vector(rng), lat.random_doublet(rng)
+    scalar_drift(lat, f, 0.8), apply_N_f(lat, f, 0.8, vA)
     assert len(calls) == 0
     geo = OrbitGeometry(lat, f, 0.8)
     assert len(calls) == 1
-    vA, vf = lat.random_vector(rng), lat.random_doublet(rng)
-    geo.connection(vA, vf), geo.horizontal(vA, vf), geo.N_f(vA)
-    geo.drift(), geo.jacobian(1.0, 1.0), geo.hess_ff
+    geo.connection(vA, vf), geo.horizontal(vA, vf), geo.jacobian(1.0, 1.0), geo.hess_ff
     assert len(calls) == 1
 
 
@@ -91,7 +94,7 @@ def test_stacked_geometry_matches_single_states(s, n):
     rng = np.random.default_rng(40 + 10 * s + n)
     fs = rng.standard_normal((3, 2, lat.n_sites))
     geo = OrbitGeometry(lat, fs, 0.8)
-    df = geo.drift()
+    df = scalar_drift(lat, fs, 0.8)
     rep = geo.jacobian(1.1, 0.9)
     assert df.shape == (3, 2, lat.n_sites)
     assert np.array_equal(geo.jf, jbar(fs))
@@ -101,7 +104,7 @@ def test_stacked_geometry_matches_single_states(s, n):
     for k in range(3):
         assert np.array_equal(jbar(fs)[k], np.array([[0.0, 1.0], [-1.0, 0.0]]) @ fs[k])
         one = OrbitGeometry(lat, fs[k], 0.8)
-        df1 = one.drift()
+        df1 = scalar_drift(lat, fs[k], 0.8)
         rep1 = one.jacobian(1.1, 0.9)
         assert np.array_equal(geo.Dinv[k], one.Dinv)
         assert np.array_equal(df[k], df1)
@@ -236,19 +239,19 @@ def test_connection_annihilates_horizontal_projection():
 
 @pytest.mark.parametrize("s,n", [(1, 3), (2, 4), (3, 4)])
 def test_N_f_matches_dense_frame(s, n):
-    # geo.N_f is the dense N_f of projector_N applied to v, for one state and
-    # for a (3, 2, V) stack with one potential direction per state
+    # apply_N_f is the dense N_f of projector_N applied to v, for one state
+    # and for a (3, 2, V) stack with one potential direction per state
     lat = Lattice(s, n)
     V, sV = lat.n_sites, lat.dim * lat.n_sites
     rng = np.random.default_rng(60 + s)
     fs = rng.standard_normal((3, 2, V))
     vs = rng.standard_normal((3, sV))
     _, dense = projector_N(lat, fs, 0.8)
-    stacked = OrbitGeometry(lat, fs, 0.8).N_f(vs)
+    stacked = apply_N_f(lat, fs, 0.8, vs)
     assert stacked.shape == (3, 2, V)
     for k in range(3):
         want = dense[k] @ vs[k]
-        one = OrbitGeometry(lat, fs[k], 0.8).N_f(vs[k].reshape(lat.dim, V))
+        one = apply_N_f(lat, fs[k], 0.8, vs[k].reshape(lat.dim, V))
         for got in (one, stacked[k]):
             assert np.abs(flat(got) - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -453,7 +456,7 @@ def test_drift_matches_christoffel_oracle(s, n):
         geo = OrbitGeometry(lat, f, g0)
         # the total drift vanishes on the two-site chain; sigma'/4 sets the scale
         scale = max(np.abs(ref_f).max(), np.abs(geo.grad_f / 4).max())
-        assert np.abs(flat(geo.drift()) - ref_f).max() <= 1e-8 * scale
+        assert np.abs(flat(scalar_drift(lat, f, g0)) - ref_f).max() <= 1e-8 * scale
         assert np.abs(ref_A).max() <= 1e-10
 
 
@@ -475,6 +478,56 @@ def test_jacobian_matches_christoffel_oracle(s, n):
             assert abs(rep_grad - grad) <= 1e-12 * abs(grad)
 
 
+def _dinv_forms(lat, f, g0, mu, kappa):
+    """Reference drift_f, laplace_term and J in the orbit-metric inverse, for
+    one state or a stack: with d = diag Dinv, G = -green, |u|^2 = g0^2 |f~|^2,
+    W = Dinv + Dinv diag(|u|^2) G and w(x) = sum_z W(x, z) Dinv(x, z) |u(z)|^2,
+
+        drift_f      = g0^2 f~ (d/2 - diag W + w/2),
+        laplace_term = g0^2 sum_x [2 d (2 - 2 |u|^2 d + |u|^2 G(x,x))
+                                   - 2 |u|^2 d (2 diag W - w)],
+        J            = -(1/8) mu^2 kappa (laplace_term + |sigma'|^2 / 4),
+
+    sigma' = 2 g0^2 f~ d: the contractions as they read before their Dinv
+    products cancel."""
+    Dinv = np.linalg.inv(orbit_metric(lat, f, g0).D)
+    G = -faddeev_popov(lat).green
+    u2 = g0 ** 2 * (f[..., 0, :] ** 2 + f[..., 1, :] ** 2)
+    d = np.diagonal(Dinv, axis1=-2, axis2=-1)
+    W = Dinv + (Dinv * u2[..., None, :]) @ G
+    diag_W = np.diagonal(W, axis1=-2, axis2=-1)
+    w = np.sum(W * Dinv * u2[..., None, :], axis=-1)
+    drift = g0 ** 2 * f * (0.5 * d - diag_W + 0.5 * w)[..., None, :]
+    laplace = g0 ** 2 * np.sum(2 * d * (2 - 2 * u2 * d + u2 * np.diag(G))
+                               - 2 * u2 * d * (2 * diag_W - w), axis=-1)
+    grad = np.sum((2 * g0 ** 2 * f * d[..., None, :]) ** 2, axis=(-2, -1))
+    return drift, laplace, -0.125 * mu ** 2 * kappa * (laplace + 0.25 * grad)
+
+
+@pytest.mark.parametrize("s,n,h", [(1, 3, 1.0), (1, 5, 0.7), (2, 3, 1.0), (2, 4, 1.3),
+                                   (3, 4, 1.0), (3, 6, 1.0), (2, 16, 1.0)])
+def test_closed_forms_match_dinv_forms(s, n, h):
+    # drift_f = 1/2 g0^2 green(x, x) f~, laplace_term = g0^2 sum(4d - 6|u|^2 d^2)
+    # and J = -(mu^2 kappa g0^2 / 8) sum d (4 - 5 |u|^2 d) equal the Dinv
+    # forms within 1e-12 relative, for one state and for a (3, 2, V) stack
+    lat = Lattice(s, n, h)
+    rng = np.random.default_rng(70 + 10 * s + n)
+    g0, mu, kappa = 0.9, 1.1, 0.8
+    fs = rng.standard_normal((3, 2, lat.n_sites))
+    for f in (fs[0], fs):
+        drift, laplace, J = _dinv_forms(lat, f, g0, mu, kappa)
+        got = scalar_drift(lat, f, g0)
+        assert got.shape == f.shape
+        assert np.abs(got - drift).max() <= 1e-12 * np.abs(drift).max()
+        geo = OrbitGeometry(lat, f, g0)
+        rep = geo.jacobian(mu, kappa)
+        d = np.diagonal(geo.Dinv, axis1=-2, axis2=-1)
+        J_d = -0.125 * mu ** 2 * kappa * g0 ** 2 * np.sum(d * (4 - 5 * geo.u2 * d), axis=-1)
+        assert np.all(np.abs(rep.laplace_term - laplace) <= 1e-12 * np.abs(laplace))
+        for want in (J, J_d):
+            assert np.all(np.abs(rep.J - want) <= 1e-12 * np.abs(want))
+
+
 def test_christoffel_drift_two_site_closed_form():
     # on the trivial-gauge two-site chain the Christoffel part of the drift,
     # drift - sigma'/4, is -f/(2|f|^2) per site, and sigma'/4 cancels it
@@ -482,7 +535,7 @@ def test_christoffel_drift_two_site_closed_form():
     rng = np.random.default_rng(11)
     f = lat.random_doublet(rng)
     geo = OrbitGeometry(lat, f, 0.63)
-    assert_allclose(geo.drift() - geo.grad_f / 4, -0.5 * f / (f[0] ** 2 + f[1] ** 2),
+    assert_allclose(scalar_drift(lat, f, 0.63) - geo.grad_f / 4, -0.5 * f / (f[0] ** 2 + f[1] ** 2),
                     atol=1e-13)
     assert_allclose(geo.grad_f / 4, 0.5 * f / (f[0] ** 2 + f[1] ** 2), atol=1e-13)
 
@@ -500,7 +553,8 @@ def test_scaling_covariance():
     assert abs(geo1.metric.logdet - geo2.metric.logdet) <= 1e-10
     assert np.abs(geo2.grad_f - geo1.grad_f / lam).max() <= 1e-10
     assert np.abs(geo2.hess_ff - geo1.hess_ff / lam ** 2).max() <= 1e-10
-    assert np.abs(geo2.drift() - geo1.drift() / lam).max() <= 1e-10
+    assert np.abs(scalar_drift(lat, lam * f, g0 / lam)
+                  - scalar_drift(lat, f, g0) / lam).max() <= 1e-10
     r1 = geo1.jacobian(1.0, 1.0)
     r2 = geo2.jacobian(1.0, 1.0)
     assert abs(r2.J - r1.J / lam ** 2) <= 1e-10

@@ -143,14 +143,14 @@ def _failing_rows(tmp_path, cfg):
 def test_cmd_check_frame_row_propagates_nan(tmp_path, monkeypatch):
     # a NaN in N_f K + K_f, the second residual the row combines, fails it
     _, cfg = make_config(tmp_path)
-    N_f = orbit.OrbitGeometry.N_f
+    apply_N_f = runner.apply_N_f
 
-    def poisoned(self, vA):
-        out = N_f(self, vA)
+    def poisoned(*args):
+        out = apply_N_f(*args)
         out.flat[1] = np.nan
         return out
 
-    monkeypatch.setattr(orbit.OrbitGeometry, "N_f", poisoned)
+    monkeypatch.setattr(runner, "apply_N_f", poisoned)
     assert _failing_rows(tmp_path, cfg) == {"projector_N_kills_gauge_directions": "nan"}
 
 
