@@ -3,9 +3,9 @@
 The scalar field alone shapes the orbit geometry: D = -(div o grad)
 + g0^2 |f~|^2 is the metric on a gauge orbit, log det D measures orbit
 volume, and its scalar derivatives feed the mean-curvature drift and the
-reduction Jacobian J = -(1/8) mu^2 kappa (laplace_term + grad_term / 4),
-which collapses to -(1/8) mu^2 kappa g0^2 sum_x d (4 - 5 g0^2 |f~|^2 d) with
-d = diag Dinv; the drift needs no Dinv at all (demo 04).
+reduction Jacobian J = -(1/8) (mu^2 kappa / h^s) (laplace_term + grad_term / 4),
+which collapses to -(1/8) (mu^2 kappa / h^s) g0^2 sum_x d (4 - 5 g0^2 |f~|^2 d)
+with d = diag Dinv; the drift needs no Dinv at all (demo 04).
 The two-site chain is fully solvable by hand and pins the whole pipeline;
 shrinking |f~| shows the small-orbit singularity that makes the Jacobian
 blow up -- the quantity that would need regularization before any continuum

@@ -23,7 +23,7 @@ d(Dinv) = -Dinv (dD) Dinv.  The reduced drift -1/2 h^{BM} Gamma_{BM} + j1 + j2
 (Christoffel part, orbit-space mean curvature j1 and orbit mean curvature
 j2 = 1/4 h sigma') and the reduction Jacobian
 
-    J = -(1/8) mu^2 kappa * (laplace_term + grad_term / 4),
+    J = -(1/8) (mu^2 kappa / h^s) * (laplace_term + grad_term / 4),
     laplace_term = h^ab sigma_ab - (h Gamma)^a sigma_a,   grad_term = h^ab sigma_a sigma_b,
 
 contract these with the horizontal metric h = blockdiag(P, I + N_f N_f^T),
@@ -39,7 +39,7 @@ diag green and q = diag(Dinv K K^T), and q cancels (README has the steps):
 
     drift_f      = 1/2 g0^2 green(x, x) f~,
     laplace_term = g0^2 sum_x (4 d - 6 |u|^2 d^2),
-    J            = -(1/8) mu^2 kappa g0^2 sum_x d (4 - 5 |u|^2 d).
+    J            = -(1/8) (mu^2 kappa / h^s) g0^2 sum_x d (4 - 5 |u|^2 d).
 
 The drift is the Ito term of the Coulomb rotation f~ = R(-g0 a) f,
 a = green div A, whose angle has variance g0^2 (-green(x, x)) per unit of
@@ -285,11 +285,16 @@ class OrbitGeometry:
         correction, scalar sector only (the potential-sector slots of sigma'
         and sigma'' are identically zero).  Fields are floats for one state
         and arrays over the leading axes for a stack.  laplace_term is
-        g0^2 sum_x (4 d - 6 |u|^2 d^2), d = diag Dinv (module docstring)."""
+        g0^2 sum_x (4 d - 6 |u|^2 d^2), d = diag Dinv (module docstring).
+        J carries the mu^2 kappa / h^s of the reduced generator, whose
+        canonical increments have variance dt / h^s, so that (L0 psi) / psi
+        = -J for psi = exp(sigma / 4) and L0 the generator with the
+        Christoffel drift alone."""
         d = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
         laplace_term = self.g0 ** 2 * np.sum(d * (4.0 - 6.0 * self.u2 * d), axis=-1)
         grad_term = np.sum(self.grad_f ** 2, axis=(-2, -1))
-        J = -0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
+        J = (-0.125 * mu ** 2 * kappa * (laplace_term + 0.25 * grad_term)
+             / self.lat.spacing ** self.lat.dim)
         return JacobianReport(laplace_term, grad_term, J, J / m,
                               self.metric.logdet, self.lat.n_sites)
 

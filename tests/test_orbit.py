@@ -508,9 +508,11 @@ def _dinv_forms(lat, f, g0, mu, kappa):
                                    (3, 4, 1.0), (3, 6, 1.0), (2, 16, 1.0)])
 def test_closed_forms_match_dinv_forms(s, n, h):
     # drift_f = 1/2 g0^2 green(x, x) f~, laplace_term = g0^2 sum(4d - 6|u|^2 d^2)
-    # and J = -(mu^2 kappa g0^2 / 8) sum d (4 - 5 |u|^2 d) equal the Dinv
+    # and J = -(mu^2 kappa g0^2 / 8 h^s) sum d (4 - 5 |u|^2 d) equal the Dinv
     # forms within 1e-12 relative, for one state and for a (3, 2, V) stack
+    # (J carries the generator's 1/h^s, pinned by the h-transform identity)
     lat = Lattice(s, n, h)
+    hs = h ** s
     rng = np.random.default_rng(70 + 10 * s + n)
     g0, mu, kappa = 0.9, 1.1, 0.8
     fs = rng.standard_normal((3, 2, lat.n_sites))
@@ -524,8 +526,46 @@ def test_closed_forms_match_dinv_forms(s, n, h):
         d = np.diagonal(geo.Dinv, axis1=-2, axis2=-1)
         J_d = -0.125 * mu ** 2 * kappa * g0 ** 2 * np.sum(d * (4 - 5 * geo.u2 * d), axis=-1)
         assert np.all(np.abs(rep.laplace_term - laplace) <= 1e-12 * np.abs(laplace))
-        for want in (J, J_d):
+        for want in (J / hs, J_d / hs):
             assert np.all(np.abs(rep.J - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("s,n", [(1, 3), (2, 3)])
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_jacobian_is_the_h_transform_of_the_christoffel_generator(s, n, h):
+    # with psi = exp(sigma / 4), sigma = log det D, and L0 the generator of
+    # the reduced scalar sector with the Christoffel drift alone,
+    # L0 = (mu^2 kappa / h^s) [(drift_f - sigma'/4) . grad
+    #                          + 1/2 tr((I + N_f N_f^T) hess)],
+    # the drift form is psi^-1 L0 psi - (L0 psi) / psi and (L0 psi) / psi = -J;
+    # grad and hess of psi by central differences (step 1e-4) of log det D,
+    # which agree within 5.5e-6 relative here; without the 1/h^s in J the
+    # ratio reads 2 on (1, 3) and 4 on (2, 3) at h = 0.5
+    lat = Lattice(s, n, h)
+    V, nA = lat.n_sites, s * lat.n_sites
+    rng = np.random.default_rng(90 + 10 * s + n)
+    g0, mu, kappa, eps = 0.7, 1.1, 0.8, 1e-4
+    for _ in range(2):
+        f = rng.standard_normal((2, V)) + [[1.0], [0.0]]
+        N_f = apply_N_f(lat, np.broadcast_to(f, (nA, 2, V)), g0, np.eye(nA)).reshape(nA, -1).T
+        geo = OrbitGeometry(lat, f, g0)
+        b0 = flat(scalar_drift(lat, f, g0) - geo.grad_f / 4)
+        # stencil points: f, f +- eps e_i, and f +- eps e_i +- eps e_j (i < j)
+        E = eps * np.eye(2 * V)
+        i, j = np.triu_indices(2 * V, 1)
+        points = [np.zeros((1, 2 * V)), E, -E]
+        points += [E[i] + sj * E[j] for sj in (1, -1)] + [-E[i] + sj * E[j] for sj in (1, -1)]
+        stack = flat(f) + np.concatenate(points)
+        psi = np.exp(orbit_metric(lat, stack.reshape(-1, 2, V), g0).logdet / 4)
+        p0, pp, pm = psi[0], psi[1:2 * V + 1], psi[2 * V + 1:4 * V + 1]
+        ppp, ppm, pmp, pmm = np.split(psi[4 * V + 1:], 4)
+        grad = (pp - pm) / (2 * eps)
+        hess = np.diag((pp - 2 * p0 + pm) / eps ** 2)
+        hess[i, j] = hess[j, i] = (ppp - ppm - pmp + pmm) / (4 * eps ** 2)
+        L0_psi = mu ** 2 * kappa / h ** s * (
+            b0 @ grad + 0.5 * np.sum((np.eye(2 * V) + N_f @ N_f.T) * hess))
+        J = geo.jacobian(mu, kappa).J
+        assert abs(-L0_psi / p0 - J) <= 1e-4 * abs(J)
 
 
 def test_christoffel_drift_two_site_closed_form():

@@ -266,9 +266,10 @@ def test_flipped_N_f_fails_check_and_noise_structure(monkeypatch, tmp_path):
     assert np.abs(gotf - expf).max() > 1e-3 * np.abs(expf).max()
 
 
-def test_reduced_step_factorizes_without_inverting(monkeypatch):
-    # each Euler step factorizes the orbit metric once and inverts nothing:
-    # no np.linalg.inv, no OrbitGeometry, N_f applied sitewise without
+def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatch):
+    # the metric certificate clears these states, so an Euler step neither
+    # factorizes nor inverts the orbit metric: no orbit_metric, no
+    # np.linalg.inv, no OrbitGeometry, N_f applied sitewise without
     # building it
     from gaugereduce import gauge
     namespaces = [m for name, m in sys.modules.items()
@@ -301,7 +302,74 @@ def test_reduced_step_factorizes_without_inverting(monkeypatch):
     x0 = _start(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0)
     abort, _ = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 3, 2, 1))
     assert abort == 0.0
-    assert counts == {"orbit_metric": 3, "projector_N": 0, "inv": 0}
+    assert counts == {"orbit_metric": 0, "projector_N": 0, "inv": 0}
+
+
+CERTIFICATE_LATTICES = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (3, 4), (3, 8), (1, 101)]
+
+
+@pytest.mark.parametrize("s,n", CERTIFICATE_LATTICES)
+def test_metric_certificate_clears_only_what_cholesky_factorizes(s, n):
+    # every state the certificate clears has an orbit metric that
+    # orbit_metric (numpy's Cholesky of the D it assembles) factorizes, at
+    # spacings 1e-8 to 1e3 and g0^2 |f~|^2 from subnormal (or underflowed to
+    # 0) to 1e5; the certificate clears some states and refuses others on
+    # every lattice and spacing
+    rng = np.random.default_rng(80 + 10 * s + n)
+    for h in (1e-8, 1e-3, 1.0, 1e3):
+        lat = Lattice(s, n, h)
+        V = lat.n_sites
+        rho = np.abs(lat.fp_matrix()).sum(axis=1).max()
+        ws = []
+        for e in range(-320, 6, 15):
+            ws.append(10.0 ** (e + rng.uniform(0, 1, V)))          # one scale
+            ws.append(10.0 ** rng.uniform(max(e, -30), 5, V))      # up to 35 decades
+            w = np.ones(V)
+            w[rng.integers(V)] = 10.0 ** e                         # one small site
+            ws.append(w)
+        for t in np.geomspace(1e-16, 1e-6, 11):                   # near the threshold
+            ws.append(t * rho * rng.uniform(1, 2, V))
+        ws = np.array(ws)
+        states = [(np.stack([np.sqrt(ws), np.zeros_like(ws)], axis=-2), 1.0)]
+        # g0^2 |f~|^2 subnormal or underflowed to 0 at some sites
+        states.append((np.sqrt(10.0 ** rng.uniform(-10, 0, (8, 1, V))) * [[1.0], [0.0]],
+                       1e-160))
+        n_cleared = n_refused = 0
+        for f, g0 in states:
+            cleared = sde._metric_certificate(lat)(g0 ** 2 * (f ** 2).sum(axis=-2))
+            n_cleared += cleared.sum()
+            n_refused += (~cleared).sum()
+            for chunk in np.array_split(f[cleared], max(1, cleared.sum() // 8)):
+                orbit.orbit_metric(lat, chunk, g0)
+        assert n_cleared > 0 and n_refused > 0, (h, n_cleared, n_refused)
+
+
+@pytest.mark.parametrize("s,n,g0,mixed", [(1, 2, 1e-160, False), (2, 3, 1e-7, False),
+                                          (2, 3, 7e-7, True)])
+def test_reduced_step_factorizes_states_the_certificate_refuses(monkeypatch, s, n, g0, mixed):
+    # g0^2 |f~|^2 subnormal on the two-site chain, or too small for the
+    # certificate on (2, 3): the step factorizes these metrics, LAPACK
+    # accepts them and the paths go on, bitwise as when every state is
+    # factorized (at g0 = 7e-7 the certificate clears some states of the
+    # chunk and refuses others)
+    lat = Lattice(s, n)
+    V = lat.n_sites
+    x0 = _start(np.zeros((s, V)), np.stack([np.ones(V), np.zeros(V)]))
+    cfg = SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4)
+    metric, factorized = orbit.orbit_metric, []
+
+    def counted(lat, f, g0):
+        factorized.append(len(f))
+        return metric(lat, f, g0)
+
+    monkeypatch.setattr(sde, "orbit_metric", counted)
+    abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
+    assert abort == 0.0 and 0 < sum(factorized)
+    assert (sum(factorized) < cfg.n_steps * cfg.n_paths) == mixed
+    monkeypatch.setattr(sde, "_metric_certificate",
+                        lambda lat: lambda w: np.zeros(len(w), dtype=bool))
+    every_abort, every = reduced_batch_diagnostics(lat, x0, g0, cfg)
+    assert every_abort == 0.0 and np.array_equal(ends, every)
 
 
 def _uniform_start(lat):
