@@ -190,6 +190,14 @@ def green_divergence(lat):
     return lat._cache[key]
 
 
+def _green_diagonal(lat):
+    """diag(green) as its own contiguous (V,) array, cached per lattice."""
+    diag = lat._cache.get("green_diag")
+    if diag is None:
+        diag = lat._cache["green_diag"] = np.diagonal(faddeev_popov(lat).green).copy()
+    return diag
+
+
 def projector_N(lat, f_tilde, g0):
     """Projection blocks of the adapted-coordinate frame.
 

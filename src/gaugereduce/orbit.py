@@ -65,8 +65,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gauge import (faddeev_popov, green_divergence, jbar, killing_doublet_matrix,
-                    transverse_projector)
+from .gauge import (_green_diagonal, faddeev_popov, green_divergence, jbar,
+                    killing_doublet_matrix, transverse_projector)
 from .lattice import matvec
 
 
@@ -304,9 +304,12 @@ def scalar_drift(lat, f_tilde, g0):
     dynamics, 1/2 g0^2 green(x, x) f~ (module docstring), before the
     mu^2 kappa / h^s prefactor; f_tilde (..., 2, V), the result likewise.
     Raises :class:`SingularOrbitMetric` for a state with f~ identically
-    zero, where the reduction is undefined."""
-    f_tilde = _nonzero_doublet(lat, f_tilde)
-    return (0.5 * g0 ** 2 * np.diagonal(faddeev_popov(lat).green)) * f_tilde
+    zero, where the reduction is undefined; states are tested one by one
+    only when some entry of the stack is zero."""
+    f_tilde = np.asarray(f_tilde, dtype=float)
+    if f_tilde.shape[-2:] != (2, lat.n_sites) or not f_tilde.all():
+        f_tilde = _nonzero_doublet(lat, f_tilde)
+    return (0.5 * g0 ** 2 * _green_diagonal(lat)) * f_tilde
 
 
 def apply_N_f(lat, f_tilde, g0, vA):
@@ -316,7 +319,11 @@ def apply_N_f(lat, f_tilde, g0, vA):
     returns (..., 2, V)."""
     f_tilde = lat.check_doublet(f_tilde, stacked=True)
     gd = matvec(green_divergence(lat), np.reshape(vA, f_tilde.shape[:-2] + (-1,)))
-    return -g0 * jbar(f_tilde) * gd[..., None, :]
+    out = np.empty(f_tilde.shape)      # -g0 Jbar f~ = (-g0 f~2, g0 f~1), exact signs
+    np.multiply(f_tilde[..., 1, :], -g0, out=out[..., 0, :])
+    np.multiply(f_tilde[..., 0, :], g0, out=out[..., 1, :])
+    out *= gd[..., None, :]
+    return out
 
 
 def reduced_drift(lat, c, g0):

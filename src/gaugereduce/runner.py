@@ -26,7 +26,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -442,7 +442,10 @@ def cmd_compare_oracle(config):
     return 0 if passed else 1
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command-line parser, built once per process; parse_args keeps no
+    state between calls, so each command parses as with a fresh one."""
     parser = argparse.ArgumentParser(
         prog="gauge-reduce",
         description="Batch runner: invariant checks, Jacobians, simulations, oracle comparisons.")
@@ -453,7 +456,11 @@ def main(argv=None):
         if name == "jacobian":
             sp.add_argument("--field-file", default=None,
                             help="load f~ from a field file instead of a generator")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         worker_count()  # refuse a bad GAUGE_REDUCE_THREADS before any work

@@ -29,9 +29,10 @@ steps x + drift(x) dt + sigma dw, and the reduced step of
 :func:`_reduced_step` certifies the orbit metric of each going path
 positive definite from its diagonal alone, factorizes (never inverts) only
 the metrics the certificate cannot clear, and stops the paths it cannot
-step, which are reported in the abort fraction.  A chunk's rows are capped
-so its noise (and, for the reduced process, its step's orbit metrics)
-stays within about _CHUNK_BYTES.
+step, which are reported in the abort fraction; when the whole chunk
+passes at once it gathers no rows and returns ``keep`` None.  A chunk with
+no path left stops, and its rows are capped so its noise (and, for the
+reduced process, its step's orbit metrics) stays within about _CHUNK_BYTES.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
@@ -175,7 +176,8 @@ def _integrate_chunk(cfg, initial, z, step, v=None):
     returned x holds only those), or is None when all do.  ``v``, if given,
     is integrated along each path by the trapezoidal rule.  Returns the
     final states, the chunk rows they belong to and those rows' exponents
-    (1/mu^2 kappa) int v du (None without ``v``).
+    (1/mu^2 kappa) int v du (None without ``v``); ``step`` never sees an
+    empty chunk, as the loop stops once no row is left.
 
     A step reads its normals with a path's d of them as one record, so
     numpy copies one record a row instead of iterating over rows of a few
@@ -204,6 +206,8 @@ def _integrate_chunk(cfg, initial, z, step, v=None):
             vcur = v(x)
             acc += 0.5 * (vprev + vcur) * cfg.dt
             vprev = vcur
+        if not rows.size:
+            break
     return x, rows, (acc / (cfg.mu ** 2 * cfg.kappa) if v is not None else None)
 
 
@@ -355,7 +359,8 @@ def _metric_certificate(lat):
     Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1,
     Thm 10.7), and gives lambda_min(H) > 20 V^2 u, above the
     V gamma_{V+1} of its lambda_min form.  A bound that overflows clears
-    nothing.
+    nothing.  A row of w may hold several states' entries (a whole chunk's):
+    clearing it clears each of them, as their ranges lie within its range.
     """
     K = -lat.fp_matrix()
     diag = np.diagonal(K)
@@ -404,11 +409,14 @@ def _reduced_step(lat, g0, cfg):
     Thm 10.7).  Only the rows it cannot clear (an underflowed g0^2 |f~|^2,
     extreme spacings, a state near the floor at large V) are factorized,
     so the rows that stop are those a factorization of every row stops.
-    The drift (:func:`~.orbit.scalar_drift`) and the scalar-sector noise
-    N_f dw_A (:func:`~.orbit.apply_N_f`, the map ``check`` verifies) read
-    no orbit metric; A* has no drift, so one projector
-    application gives both the noise P dw_A and the re-projection onto
-    div(A*) = 0.
+    The tests run first on the whole chunk, the certificate on its range
+    of g0^2 |f~|^2; when it passes, the chunk's arrays are stepped as they
+    are and ``keep`` is None, and only otherwise are rows tested one by one
+    and the going ones gathered.  The drift (:func:`~.orbit.scalar_drift`)
+    and the scalar-sector noise N_f dw_A (:func:`~.orbit.apply_N_f`, the
+    map ``check`` verifies) read no orbit metric; A* has no drift, so one
+    projector application gives both the noise P dw_A and the
+    re-projection onto div(A*) = 0.
     """
     s, V = lat.dim, lat.n_sites
     nA = s * V
@@ -420,22 +428,27 @@ def _reduced_step(lat, g0, cfg):
     def step(x, dw):
         A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
         f2 = (f ** 2).sum(axis=-2)
-        keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
-                & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
-        # g0^2 f2 is bitwise the diagonal orbit_metric adds to -Phi
-        f = _positive_definite_rows(lat, f, g0, keep, certificate(g0 ** 2 * f2[keep]))
-        if f is None:
-            return x[keep], keep
-        dw = dw[keep]
+        w = g0 ** 2 * f2        # bitwise the diagonal orbit_metric adds to -Phi
+        keep = None
+        if not (np.isfinite(A).all() and np.isfinite(f2).all()
+                and f2.min() >= SINGULARITY_FLOOR and certificate(w.reshape(1, -1))[0]):
+            keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
+                    & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
+            f = _positive_definite_rows(lat, f, g0, keep, certificate(w[keep]))
+            if f is None:
+                return x[keep], keep
+            A, f2, dw = A[keep], f2[keep], dw[keep]
         move = pref * scalar_drift(lat, f, g0)
         NdwA = apply_N_f(lat, f, g0, dw[:, :nA])
         new = np.empty((len(dw), s + 2, V))
-        new[:, :s] = matvec(P, A[keep] + noise * dw[:, :nA]).reshape(-1, s, V)
+        new[:, :s] = matvec(P, A + noise * dw[:, :nA]).reshape(-1, s, V)
         np.add(f + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),
                out=new[:, s:])
-        far = (move * move).sum(axis=-2) > f2[keep]
+        far = (move * move).sum(axis=-2) > f2
         if far.any():
             far = far.any(axis=-1)
+            if keep is None:
+                keep = np.ones(len(x), dtype=bool)
             keep[np.flatnonzero(keep)[far]] = False
             new = new[~far]
         return new.reshape(len(new), (s + 2) * V), keep

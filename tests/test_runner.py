@@ -89,6 +89,49 @@ def test_main_exit_codes(tmp_path):
     assert main(["check", str(tmp_path / "missing.txt")]) == 2
 
 
+def test_main_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; a bad subcommand, a config
+    # error, a passing check, jacobian with --field-file and then without it
+    # each give the exit code, messages and CSV that a fresh parser gives
+    bad = tmp_path / "bad.txt"
+    bad.write_text("lattice.sites_per_dim = 1\n")
+    path, _ = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": 4})
+    fpath = tmp_path / "field.txt"
+    write_field_file(fpath, 1, 4, "doublet", np.random.default_rng(2).standard_normal((2, 4)) + 2)
+    out = tmp_path / "out"
+    calls = [(["simulat", str(path)], None), (["check", str(bad)], None),
+             (["check", str(path)], "check.csv"),
+             (["jacobian", str(path), "--field-file", str(fpath)], "jacobian.csv"),
+             (["jacobian", str(path)], "jacobian.csv")]
+
+    def run(fresh):
+        seen = []
+        for argv, csv_name in calls:
+            if fresh:
+                runner._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            csv_path = out / csv_name if csv_name else None
+            seen.append((code, capsys.readouterr(),
+                         csv_path.read_bytes() if csv_path and csv_path.exists() else None))
+            if csv_path:
+                csv_path.unlink()
+        return seen
+
+    runner._parser.cache_clear()
+    shared = run(fresh=False)
+    parser = runner._parser()
+    assert runner._parser.cache_info().misses == 1
+    assert run(fresh=True) == shared
+    assert [c for c, _, _ in shared] == [("exit", 2), 2, 0, 0, 0]
+    assert "invalid choice" in shared[0][1].err
+    assert shared[1][1].err.startswith("config error:")
+    assert shared[3][2] != shared[4][2]           # the field file, then the generator
+    assert runner._parser() is not parser         # the fresh runs rebuilt it
+
+
 @pytest.mark.parametrize("threads", ["abc", "0", "-1"])
 def test_main_refuses_bad_thread_count(tmp_path, monkeypatch, threads):
     path, _ = make_config(tmp_path)

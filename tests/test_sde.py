@@ -590,6 +590,154 @@ def test_integrate_chunk_reads_noise_as_the_manual_loop(d):
     assert sde._integrate_chunk(cfg, x0, z, dropping_step())[0].tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("with_v", [False, True])
+def test_integrate_chunk_stops_once_no_row_is_left(with_v):
+    # a step that stops every row at step 0 is called once, not n_steps
+    # times, and the chunk returns no state, no row and no exponent
+    cfg = SDEConfig(1.0, 1.0, 0.01, 25, 3, 8)
+    z = _chunk_normals(cfg.seed, 0, cfg.n_paths, cfg.n_steps, 2)
+    calls = []
+
+    def stopping(x, dw):
+        calls.append(len(x))
+        keep = np.zeros(len(x), dtype=bool)
+        return x[keep], keep
+
+    v = (lambda x: -np.sum(x ** 2, axis=1)) if with_v else None
+    x, rows, exponents = sde._integrate_chunk(cfg, np.ones(2), z, stopping, v)
+    assert calls == [cfg.n_paths]
+    assert x.shape == (0, 2) and rows.shape == (0,)
+    assert (exponents is None) if v is None else exponents.shape == (0,)
+
+
+def test_reduced_chunk_aborted_at_step_0_steps_once(monkeypatch):
+    # the only path of the chunk sits below the singularity floor: the step
+    # runs once, and the path aborts with no endpoint
+    real, calls = sde._reduced_step, []
+
+    def counting(lat, g0, cfg):
+        step = real(lat, g0, cfg)
+
+        def wrapped(x, dw):
+            calls.append(len(x))
+            return step(x, dw)
+        return wrapped
+
+    monkeypatch.setattr(sde, "_reduced_step", counting)
+    lat = Lattice(1, 2)
+    x0 = _start(np.zeros((1, 2)), np.full((2, 2), 1e-7))
+    abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1))
+    assert calls == [1]
+    assert abort == 1.0 and ends.shape == (0, 6)
+
+
+# The reduced step, drift and noise map in their earlier row-by-row form,
+# kept verbatim as the bitwise reference of sde._reduced_step: that step
+# gathered the going rows of A, f, f2 and dw at every step and built
+# -g0 Jbar f~ with a stack.  Their free names (SINGULARITY_FLOOR,
+# _positive_definite_rows, jbar, ...) resolve in the namespace _frozen_run
+# builds, a copy of orbit's and sde's, so a patched floor or certificate
+# reaches them, with the frozen maps in place of sde's.
+
+def _frozen_reduced_step(lat, g0, cfg):
+    s, V = lat.dim, lat.n_sites
+    nA = s * V
+    noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
+    pref = cfg.mu ** 2 * cfg.kappa * cfg.dt / lat.spacing ** s
+    P = transverse_projector(lat)
+    certificate = _metric_certificate(lat)
+
+    def step(x, dw):
+        A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
+        f2 = (f ** 2).sum(axis=-2)
+        keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
+                & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
+        # g0^2 f2 is bitwise the diagonal orbit_metric adds to -Phi
+        f = _positive_definite_rows(lat, f, g0, keep, certificate(g0 ** 2 * f2[keep]))
+        if f is None:
+            return x[keep], keep
+        dw = dw[keep]
+        move = pref * scalar_drift(lat, f, g0)
+        NdwA = apply_N_f(lat, f, g0, dw[:, :nA])
+        new = np.empty((len(dw), s + 2, V))
+        new[:, :s] = matvec(P, A[keep] + noise * dw[:, :nA]).reshape(-1, s, V)
+        np.add(f + move, noise * (NdwA + dw[:, nA:].reshape(NdwA.shape)),
+               out=new[:, s:])
+        far = (move * move).sum(axis=-2) > f2[keep]
+        if far.any():
+            far = far.any(axis=-1)
+            keep[np.flatnonzero(keep)[far]] = False
+            new = new[~far]
+        return new.reshape(len(new), (s + 2) * V), keep
+
+    return step
+
+
+def _frozen_scalar_drift(lat, f_tilde, g0):
+    f_tilde = _nonzero_doublet(lat, f_tilde)
+    return (0.5 * g0 ** 2 * np.diagonal(faddeev_popov(lat).green)) * f_tilde
+
+
+def _frozen_apply_N_f(lat, f_tilde, g0, vA):
+    f_tilde = lat.check_doublet(f_tilde, stacked=True)
+    gd = matvec(green_divergence(lat), np.reshape(vA, f_tilde.shape[:-2] + (-1,)))
+    return -g0 * jbar(f_tilde) * gd[..., None, :]
+
+
+def _frozen_run(monkeypatch, lat, x0, g0, cfg):
+    """reduced_batch_diagnostics with the frozen step and maps."""
+    ns = {**vars(orbit), **vars(sde)}
+    for name, fn in [("_reduced_step", _frozen_reduced_step),
+                     ("scalar_drift", _frozen_scalar_drift),
+                     ("apply_N_f", _frozen_apply_N_f)]:
+        ns[name] = types.FunctionType(fn.__code__, ns, name)
+    with monkeypatch.context() as m:
+        m.setattr(sde, "_reduced_step", ns["_reduced_step"])
+        return reduced_batch_diagnostics(lat, x0, g0, cfg)
+
+
+def _poison(monkeypatch):
+    real = sde._chunk_normals
+
+    def poisoned(seed, lo, hi, n_steps, dim):
+        z = real(seed, lo, hi, n_steps, dim)
+        z[1, 5, 0] = z[2, n_steps - 1, -1] = z[4, 0, dim // 2] = np.nan
+        return z
+
+    monkeypatch.setattr(sde, "_chunk_normals", poisoned)
+
+
+# (lattice, g0, cfg, patch, aborts): the benchmark's reduced commands, a
+# raised floor that stops paths part way, NaN-poisoned increments, states
+# the certificate refuses (some of them at g0 = 7e-7) and the far-drift
+# guard at dt = 30, which stops every path at step 0
+_FROZEN_CASES = {
+    "bench-2-4": ((2, 4), 1.0, SDEConfig(1.0, 1.0, 1e-3, 100, 4, 21), None, "none"),
+    "bench-3-4": ((3, 4), 1.0, SDEConfig(1.0, 1.0, 1e-3, 100, 2, 22), None, "none"),
+    "floor": ((1, 3), 0.8, SDEConfig(1.0, 1.0, 0.03, 20, 24, 2),
+              lambda mp: mp.setattr(sde, "SINGULARITY_FLOOR", 0.6), "some"),
+    "nan": ((2, 3), 0.8, SDEConfig(1.0, 1.0, 5e-3, 10, 6, 3), _poison, "some"),
+    "refused": ((2, 3), 7e-7, SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4), None, "none"),
+    "far": ((1, 3), 0.8, SDEConfig(1.0, 1.0, 30.0, 5, 4, 5), None, "all"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FROZEN_CASES))
+def test_reduced_step_is_bitwise_the_frozen_row_by_row_step(monkeypatch, case):
+    # endpoints and abort fractions equal those of the frozen reference
+    # step, bit for bit, whether every row goes on (keep None) or some stop
+    (s, n), g0, cfg, patch, aborts = _FROZEN_CASES[case]
+    if patch is not None:
+        patch(monkeypatch)
+    lat = Lattice(s, n)
+    x0 = _uniform_start(lat)
+    abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
+    ref_abort, ref = _frozen_run(monkeypatch, lat, x0, g0, cfg)
+    assert abort == ref_abort
+    assert ends.shape == ref.shape and np.array_equal(ends, ref)
+    assert {"none": abort == 0.0, "some": 0.0 < abort < 1.0, "all": abort == 1.0}[aborts]
+
+
 def test_reduced_two_site_chain_grows_like_original_process():
     # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
     # cancels the orbit mean curvature j2 = sigma'/4 = f/(2|f|^2) exactly, so the
