@@ -10,8 +10,8 @@ Green function do all the work.
 
 import numpy as np
 
-from gaugereduce import (FieldPair, Lattice, faddeev_popov, flat, from_adapted,
-                         gauge_transform, killing_vector, potential, projector_N,
+from gaugereduce import (FieldPair, Lattice, apply_N_f, faddeev_popov, flat,
+                         from_adapted, gauge_transform, killing_vector, potential,
                          to_adapted, transverse_projector)
 
 rng = np.random.default_rng(1)
@@ -41,11 +41,11 @@ print(f"|P^2 - P|_max      = {np.abs(P @ P - P).max():.2e}")
 print(f"|P grad|_max       = {np.abs(P @ G).max():.2e}   (kills pure-gauge directions)")
 print(f"|div P|_max        = {np.abs(lat.divergence_matrix() @ P).max():.2e}   (lands on the surface)")
 # the frame projection (P, N_f) sends a gauge direction K(eps) to zero when
-# eps lies in range(Phi), the part of the gauge the Coulomb condition fixes
-N_A, N_f = projector_N(lat, p.f, g0)
+# eps lies in range(Phi), the part of the gauge the Coulomb condition fixes;
+# N_f is applied by apply_N_f, the map the reduced integrator runs
 eps = faddeev_popov(lat).range_projector() @ rng.standard_normal(lat.n_sites)
 kA, kf = killing_vector(lat, p, eps)
-frame = max(np.abs(N_A @ flat(kA)).max(), np.abs(N_f @ flat(kA) + flat(kf)).max())
+frame = max(np.abs(P @ flat(kA)).max(), np.abs(apply_N_f(lat, p.f, g0, kA) + kf).max())
 print(f"|(P, N_f) K(eps)|  = {frame:.2e}   (the frame kills gauge directions)")
 
 print("\n=== gauge-fixing operator and its Green function ===")

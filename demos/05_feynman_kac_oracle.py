@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from gaugereduce import (SDEConfig, discretization_budget, compare,
-                         feynman_kac, mehler_value, weak_convergence_estimates)
+                         feynman_kac, weak_convergence_estimates)
 
 mu = kappa = 1.0
 omega, T = 1.0, 0.5
@@ -26,7 +26,9 @@ x0 = np.array([0.3])
 cfg = SDEConfig(mu, kappa, 1e-3, 500, 50_000, 7)
 est = feynman_kac(phi0, v, cfg, x0)
 pde_val, budget = discretization_budget(v, phi0, x0, T, mu, kappa, 1, 401, 5.0)
-closed = mehler_value(x0, omega, mu ** 2 * kappa, T)
+# Mehler kernel: cosh(omega T)^(-d/2) exp(-(omega / 2v) tanh(omega T) |x0|^2), v = mu^2 kappa
+closed = (math.cosh(omega * T) ** (-x0.size / 2.0)
+          * math.exp(-0.5 * omega / (mu ** 2 * kappa) * math.tanh(omega * T) * float(x0 @ x0)))
 print(f"Monte Carlo : {est.mean:.6f} +- {est.std_error:.6f}  ({est.n_paths} paths)")
 print(f"grid PDE    : {pde_val:.6f}  (discretization budget {budget:.1e})")
 print(f"closed form : {closed:.6f}")

@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .lattice import Lattice, LatticeSpec, MAX_DENSE_SITES, flat
 from .gauge import (AdaptedCoords, FaddeevPopov, FieldPair, faddeev_popov,
                     from_adapted, gauge_transform, killing_doublet_matrix,
-                    killing_vector, potential, projector_N, rotate,
-                    solve_gauge_parameter, to_adapted, transverse_projector)
+                    killing_vector, potential, rotate, solve_gauge_parameter,
+                    to_adapted, transverse_projector)
 from .orbit import (HorizontalMetric, JacobianReport, OrbitGeometry, OrbitMetric,
                     SingularOrbitMetric, apply_N_f, horizontal_metric, orbit_metric,
                     reduced_drift, scalar_drift)
@@ -23,5 +23,4 @@ from .sde import (EXPONENT_GUARD, SINGULARITY_FLOOR, FKEstimate, SDEConfig,
                   reduced_batch_diagnostics, weak_convergence_estimates,
                   worker_count)
 from .kolmogorov import (GridPDE, Verdict, build_generator, compare,
-                         discretization_budget, evolve, heat_value,
-                         mehler_value, solve_value, value_at)
+                         discretization_budget, evolve, solve_value, value_at)

@@ -198,22 +198,6 @@ def _green_diagonal(lat):
     return diag
 
 
-def projector_N(lat, f_tilde, g0):
-    """Projection blocks of the adapted-coordinate frame.
-
-    Returns (N_A, N_f): N_A (sV x sV) is the component acting within the
-    potential sector and coincides with the transverse projector for the
-    Coulomb condition; N_f (2V x sV) = -K_f @ green @ div carries potential
-    directions into scalar directions and vanishes when f_tilde = 0.  K_f is
-    diagonal in the site, so N_f scales row x of green @ div by
-    -g0 (Jbar f~)^a(x).  f_tilde may be a stack (..., 2, V); N_f then has
-    shape (..., 2V, sV).
-    """
-    f_tilde = lat.check_doublet(f_tilde, stacked=True)
-    N_f = (-g0 * jbar(f_tilde))[..., None] * green_divergence(lat)
-    return transverse_projector(lat), N_f.reshape(f_tilde.shape[:-2] + (2 * lat.n_sites, -1))
-
-
 def potential(lat, p, v0=None):
     """Potential functional: field strength + covariant scalar kinetic + V0.
 

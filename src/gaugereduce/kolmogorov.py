@@ -1,4 +1,4 @@
-"""Dense backward-equation oracle on tiny grids, plus exact Gaussian formulas.
+"""Dense backward-equation oracle on tiny grids.
 
 Solves d(psi)/dt + L psi = 0 backwards in time, i.e. psi(0) = exp(T L) phi0,
 for the generator
@@ -13,10 +13,6 @@ equation on R^d, so grid values and Monte Carlo estimates must agree within
 statistics plus the discretization budget: a Richardson comparison of two
 resolutions for the O(h^2) spacing error, plus a solve on a wider box for the
 truncation of R^d to the grid box.
-
-Closed forms for the two classic benchmarks are included: heat-kernel
-smoothing of a Gaussian (V = 0) and the quadratic-potential (Mehler kernel)
-value for V(x) = -(1/2) omega^2 |x|^2 with Gaussian or flat phi0.
 
 scipy is imported inside :func:`build_generator` and :func:`evolve`, the
 only code in the package that uses it, so importing ``gaugereduce`` and every
@@ -143,40 +139,3 @@ def compare(fk, pde_value, budget=0.0):
     diff = abs(fk.mean - pde_value)
     passed = diff <= 3.0 * fk.std_error + budget and not fk.unreliable
     return Verdict(passed, fk.mean, fk.std_error, pde_value, budget)
-
-
-# ----------------------------------------------------------------------
-# exact Gaussian references
-# ----------------------------------------------------------------------
-
-def heat_value(x0, phi0_var, v_rate, T):
-    """E[phi0(x_T)] for phi0 = exp(-|x|^2 / (2 s^2)), free diffusion with
-    variance rate v_rate: Gaussian convolution in closed form."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    s2 = phi0_var + v_rate * T
-    pref = (phi0_var / s2) ** (x0.size / 2.0)
-    return float(pref * math.exp(-float(np.sum(x0 ** 2)) / (2.0 * s2)))
-
-
-def mehler_value(x0, omega, v_rate, T, alpha=0.0):
-    """Quadratic-potential benchmark in closed form.
-
-    Value of E_x0[ phi0(x_T) exp(-(omega^2/(2 v)) int |x_u|^2 du) ] for the
-    free diffusion with variance rate v = v_rate and
-    phi0 = exp(-alpha |x|^2 / 2); dimensions factorize.  Derived from the
-    Riccati flow of the Gaussian ansatz exp(-a(t) x^2 / 2 + b(t)):
-
-        a(T) = (omega/v) (ahat + tanh(omega T)) / (1 + ahat tanh(omega T)),
-        ahat = alpha v / omega,
-        prefactor per dim = (cosh(omega T) + ahat sinh(omega T))^(-1/2).
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v = v_rate
-    th = math.tanh(omega * T)
-    ahat = alpha * v / omega
-    a_T = (omega / v) * (ahat + th) / (1.0 + ahat * th)
-    pref = (math.cosh(omega * T) + ahat * math.sinh(omega * T)) ** (-0.5)
-    out = 1.0
-    for c in x0:
-        out *= pref * math.exp(-0.5 * a_T * c * c)
-    return float(out)

@@ -49,11 +49,11 @@ metric.  The potential-sector slots of sigma' and sigma'' vanish because D
 does not depend on the potential.
 
 :class:`OrbitGeometry` owns a state's factorization, inverse and the maps
-that read it (connection, horizontal projection, sigma derivatives,
-Jacobian); :func:`orbit_metric` never inverts.  Every function taking f~
-accepts a stack (..., 2, V) with one Cholesky factor and one matrix-vector
-product per state, so a state's result does not depend on how many states
-are stacked with it.
+that read it (connection, horizontal projection, sigma', Jacobian);
+:func:`orbit_metric` never inverts.  Every function taking f~ accepts a
+stack (..., 2, V) with one Cholesky factor and one matrix-vector product per
+state, so a state's result does not depend on how many states are stacked
+with it.
 
 log det D is the bare truncated value; no continuum regularization is
 applied.  Reports carry (logdet, n_sites) so counterterm subtraction can be
@@ -231,8 +231,9 @@ class OrbitGeometry:
     Construction factorizes the orbit metric (``metric``) and inverts it once
     (``Dinv``: one LU inverse of D per state, then symmetrized), so a
     degenerate orbit raises :class:`SingularOrbitMetric` here.  The gauge
-    maps apply matrix-free to tangent vectors; sigma' (``grad_f``) and, only
-    when read, sigma'' (``hess_ff``) are each built at most once.
+    maps apply matrix-free to tangent vectors; sigma' (``grad_f``) is built
+    at most once.  The Jacobian reads sigma'' only through diag Dinv, so no
+    dense sigma'' is built.
     """
 
     def __init__(self, lat, f_tilde, g0):
@@ -264,21 +265,6 @@ class OrbitGeometry:
         """sigma_a(x) = 2 g0^2 f~^a(x) Dinv(x, x), shape (..., 2, V)."""
         diag = np.diagonal(self.Dinv, axis1=-2, axis2=-1)
         return 2.0 * self.g0 ** 2 * self.f_tilde * diag[..., None, :]
-
-    @cached_property
-    def hess_ff(self):
-        """sigma_ab(x, y), shape (..., 2V, 2V)."""
-        V, g0, Dinv = self.lat.n_sites, self.g0, self.Dinv
-        f = self.f_tilde.reshape(self.lead + (2 * V,))
-        # the Dinv(x,y)^2 factor pairs the site indices of p=(a,x), q=(b,y)
-        hess = -4.0 * g0 ** 4 * f[..., :, None] * f[..., None, :] * np.tile(Dinv ** 2, (2, 2))
-        hess = hess.reshape(self.lead + (2, V, 2, V))
-        diag_term = 2.0 * g0 ** 2 * np.diagonal(Dinv, axis1=-2, axis2=-1)
-        sites = np.arange(V)
-        for a in range(2):
-            hess[..., a, sites, a, sites] += diag_term
-        hess = hess.reshape(self.lead + (2 * V, 2 * V))
-        return 0.5 * (hess + np.swapaxes(hess, -2, -1))
 
     def jacobian(self, mu, kappa, m=1.0):
         """Exponential part of the reduction Jacobian and the potential

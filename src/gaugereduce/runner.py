@@ -152,17 +152,14 @@ def parse_config(text):
     for key, allowed in _CHOICES.items():
         if values[key] not in allowed:
             raise ConfigError(f"{key} must be one of {sorted(allowed)}")
-    for key in ("sde.n_steps", "sde.n_paths"):
-        if values[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if not 0 <= values["sde.seed"] < 2 ** 64:
-        raise ConfigError("sde.seed must be a nonnegative 64-bit integer")
+    config = ExperimentConfig(values, frozenset(explicit))
     try:
         LatticeSpec(values["lattice.dim"], values["lattice.sites_per_dim"],
                     values["lattice.spacing"])
+        config.sde()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(values, frozenset(explicit))
+    return config
 
 
 def load_config(path):
@@ -189,14 +186,6 @@ def read_field_file(path):
     if not np.isfinite(data).all():
         raise ConfigError(f"field file {path} has a non-finite entry")
     return dim, n, kind, data.T.copy()
-
-
-def write_field_file(path, dim, n, kind, field):
-    comps = field.reshape(-1, n ** dim)
-    with open(path, "w") as fh:
-        fh.write(f"{dim} {n} {kind}\n")
-        for x in range(n ** dim):
-            fh.write(" ".join(repr(float(c[x])) for c in comps) + "\n")
 
 
 def _write_csv(config, name, header, rows):

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 
 from gaugereduce.gauge import (FieldPair, faddeev_popov, from_adapted,
                                gauge_transform, killing_vector, potential,
-                               projector_N, rotate, solve_gauge_parameter,
-                               to_adapted, transverse_projector)
+                               rotate, solve_gauge_parameter, to_adapted,
+                               transverse_projector)
 from gaugereduce.lattice import Lattice, flat
+from gaugereduce.orbit import apply_N_f
 
 
 # (1, 2) has Phi = 0 and so green = 0; odd and even N otherwise
@@ -176,17 +177,18 @@ def test_killing_orthogonality_after_projection():
 
 
 def test_projector_N_blocks():
+    # the frame (P, N_f): P is idempotent, and apply_N_f, the map the reduced
+    # step runs, vanishes at f~ = 0 and on transverse directions (P's columns)
     lat = Lattice(2, 4)
     rng = np.random.default_rng(13)
     f = lat.random_doublet(rng)
-    N_A, N_f = projector_N(lat, f, 0.8)
     P = transverse_projector(lat)
-    assert np.abs(N_A - P).max() <= 1e-12
-    assert np.abs(N_A @ N_A - N_A).max() <= 1e-10
-    _, N_f0 = projector_N(lat, np.zeros((2, lat.n_sites)), 0.8)
-    assert_allclose(N_f0, 0.0, atol=0)
-    # N_f annihilates transverse directions
-    assert np.abs(N_f @ P).max() <= 1e-12
+    assert np.abs(P @ P - P).max() <= 1e-10
+    zero = np.zeros((2, lat.n_sites))
+    assert_allclose(apply_N_f(lat, zero, 0.8, lat.random_vector(rng)), 0.0, atol=0)
+    columns = P.T                       # one transverse direction per row
+    on_P = apply_N_f(lat, np.broadcast_to(f, (len(columns), 2, lat.n_sites)), 0.8, columns)
+    assert np.abs(on_P).max() <= 1e-12
 
 
 def test_faddeev_popov_inverse_odd_n():

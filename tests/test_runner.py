@@ -16,7 +16,8 @@ from gaugereduce.gauge import FieldPair
 from gaugereduce.lattice import Lattice
 from gaugereduce.runner import (ConfigError, cmd_check, cmd_compare_oracle,
                                 cmd_jacobian, cmd_simulate, main, parse_config,
-                                read_field_file, write_field_file)
+                                read_field_file)
+from references import write_field_file
 
 
 def make_config(tmp_path, **overrides):

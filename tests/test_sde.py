@@ -10,13 +10,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaugereduce import orbit, runner, sde
-from gaugereduce.gauge import (AdaptedCoords, FieldPair, faddeev_popov, projector_N,
-                               transverse_projector)
+from gaugereduce.gauge import AdaptedCoords, FieldPair, faddeev_popov, transverse_projector
 from gaugereduce.lattice import Lattice, flat
 from gaugereduce.orbit import OrbitGeometry, SingularOrbitMetric, reduced_drift, scalar_drift
 from gaugereduce.sde import (SDEConfig, _chunk_normals, feynman_kac, girsanov_check,
                              path_rng, reduced_batch_diagnostics,
                              weak_convergence_estimates, worker_count)
+from references import dense_N_f, mehler_value
 
 
 def test_sde_config_validation():
@@ -225,7 +225,7 @@ def test_reduced_one_step_mean_is_drift(monkeypatch):
 def _reduced_noise(monkeypatch):
     """One antithetic pair of reduced steps: half their difference, which is
     the noise (the drift cancels), against P dw_A and N_f dw_A + dw_f built
-    from the dense projector_N."""
+    from the dense N_f."""
     lat = Lattice(2, 3)
     rng = np.random.default_rng(4)
     f0 = rng.standard_normal((2, 9)) + 2.0
@@ -236,7 +236,7 @@ def _reduced_noise(monkeypatch):
     assert abort == 0.0
     dw = z * math.sqrt(cfg.dt)
     P = transverse_projector(lat)
-    _, N_f = projector_N(lat, f0, g0)
+    N_f = dense_N_f(lat, f0, g0)
     expA = P @ (cfg.mu * math.sqrt(cfg.kappa) * dw[:18])
     expf = cfg.mu * math.sqrt(cfg.kappa) * (N_f @ dw[:18] + dw[18:])
     return 0.5 * (cp[:18] - cm[:18]), expA, 0.5 * (cp[18:] - cm[18:]), expf
@@ -269,9 +269,7 @@ def test_flipped_N_f_fails_check_and_noise_structure(monkeypatch, tmp_path):
 def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatch):
     # the metric certificate clears these states, so an Euler step neither
     # factorizes nor inverts the orbit metric: no orbit_metric, no
-    # np.linalg.inv, no OrbitGeometry, N_f applied sitewise without
-    # building it
-    from gaugereduce import gauge
+    # np.linalg.inv, no OrbitGeometry
     namespaces = [m for name, m in sys.modules.items()
                   if name == "gaugereduce" or name.startswith("gaugereduce.")]
     counts = {}
@@ -282,14 +280,13 @@ def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatc
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in [(orbit, "orbit_metric"), (gauge, "projector_N")]:
-        fn = getattr(module, name)
-        counts[name] = 0
-        wrapper = counted(name, fn)
-        for ns in namespaces:
-            for attr, obj in list(vars(ns).items()):
-                if obj is fn:
-                    monkeypatch.setattr(ns, attr, wrapper)
+    fn = orbit.orbit_metric
+    counts["orbit_metric"] = 0
+    wrapper = counted("orbit_metric", fn)
+    for ns in namespaces:
+        for attr, obj in list(vars(ns).items()):
+            if obj is fn:
+                monkeypatch.setattr(ns, attr, wrapper)
     counts["inv"] = 0
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
 
@@ -302,7 +299,7 @@ def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatc
     x0 = _start(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0)
     abort, _ = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 3, 2, 1))
     assert abort == 0.0
-    assert counts == {"orbit_metric": 0, "projector_N": 0, "inv": 0}
+    assert counts == {"orbit_metric": 0, "inv": 0}
 
 
 CERTIFICATE_LATTICES = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (3, 4), (3, 8), (1, 101)]
@@ -610,9 +607,8 @@ def test_integrate_chunk_stops_once_no_row_is_left(with_v):
     assert (exponents is None) if v is None else exponents.shape == (0,)
 
 
-def test_reduced_chunk_aborted_at_step_0_steps_once(monkeypatch):
-    # the only path of the chunk sits below the singularity floor: the step
-    # runs once, and the path aborts with no endpoint
+def _count_reduced_steps(monkeypatch):
+    """The number of rows each reduced step is called on, appended as it runs."""
     real, calls = sde._reduced_step, []
 
     def counting(lat, g0, cfg):
@@ -624,11 +620,33 @@ def test_reduced_chunk_aborted_at_step_0_steps_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(sde, "_reduced_step", counting)
+    return calls
+
+
+def test_reduced_chunk_aborted_at_step_0_steps_once(monkeypatch):
+    # the only path of the chunk sits below the singularity floor: the step
+    # runs once, and the path aborts with no endpoint
+    calls = _count_reduced_steps(monkeypatch)
     lat = Lattice(1, 2)
     x0 = _start(np.zeros((1, 2)), np.full((2, 2), 1e-7))
     abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, 10, 1, 1))
     assert calls == [1]
     assert abort == 1.0 and ends.shape == (0, 6)
+
+
+def test_reduced_chunk_with_non_finite_A_star_steps_once(monkeypatch):
+    # A*[0] is NaN and f~ is finite: the finite-A* test stops every path
+    # before the first step.  Without it, f~ stays finite (P spreads the NaN
+    # over A* only) and the paths run all 50 steps, to abort only at the
+    # final finiteness filter, so only the call count tells the two apart
+    calls = _count_reduced_steps(monkeypatch)
+    lat = Lattice(2, 3)
+    A = np.zeros((2, 9))
+    A[0, 0] = np.nan
+    x0 = _start(A, np.stack([np.ones(9), np.zeros(9)]))
+    abort, ends = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-3, 50, 3, 1))
+    assert calls == [3]
+    assert abort == 1.0 and ends.shape == (0, 36)
 
 
 # The reduced step, drift and noise map in their earlier row-by-row form,
@@ -808,7 +826,6 @@ def test_feynman_kac_constant_potential():
 
 
 def test_feynman_kac_mehler_toy():
-    from gaugereduce.kolmogorov import mehler_value
     omega = 1.0
     cfg = SDEConfig(1.0, 1.0, 1e-3, 250, 20_000, 13)
     x0 = np.array([0.4])
