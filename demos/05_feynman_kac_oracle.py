@@ -1,4 +1,4 @@
-"""Feynman-Kac tour: Monte Carlo vs dense backward-equation oracle.
+"""Feynman-Kac tour: Monte Carlo vs grid backward-equation oracle.
 
 The weighted expectation E[phi0(x_T) exp((1/mu^2 kappa) int V du)] of the
 free diffusion solves the backward equation with generator

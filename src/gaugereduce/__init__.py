@@ -5,7 +5,7 @@ scalar: exact lattice gauge fixing (projectors, gauge-fixing Green function,
 adapted coordinates), the geometry of gauge orbits (orbit metric, mechanical
 connection, curvature drifts, reduction Jacobian), Ito integration of the
 original and reduced dynamics, potential-weighted Monte Carlo expectations,
-and a dense backward-equation oracle for validating them.
+and a grid backward-equation oracle for validating them.
 """
 
 __version__ = "0.1.0"

@@ -381,6 +381,18 @@ def cmd_simulate(config):
     return 1 if est.unreliable else 0
 
 
+def _two_site_drift(pref):
+    """The drift pref * f / (2|f|^2), sitewise, on flat two-site states
+    (m, 4) = (f1 at both sites, f2 at both sites): each component is divided
+    through an (m, 2, 2) view by its site's 2|f|^2."""
+    def drift(x):
+        r2 = 2 * (x[:, :2] ** 2 + x[:, 2:] ** 2)
+        f = (pref * x).reshape(-1, 2, 2)
+        f /= r2[:, None, :]
+        return f.reshape(x.shape)
+    return drift
+
+
 def cmd_compare_oracle(config):
     """Monte Carlo vs oracle on the configured toy; writes the verdict."""
     cfg = config.sde()
@@ -413,14 +425,8 @@ def cmd_compare_oracle(config):
         raise ConfigError(f"oracle.kind = girsanov runs on the fixed two-site chain "
                           f"(dim 1, 2 sites, spacing 1); remove {', '.join(given)}")
     f0 = np.stack([np.ones(2), np.zeros(2)])
-    pref = mu ** 2 * kappa
-
-    def drift(x):
-        r2 = 2 * (x[:, :2] ** 2 + x[:, 2:] ** 2)
-        return pref * x / np.concatenate([r2, r2], axis=1)
-
     phi0 = lambda x: _row_sum(x ** 2)
-    e1, e2 = girsanov_check(cfg, flat(f0), drift, phi0)
+    e1, e2 = girsanov_check(cfg, flat(f0), _two_site_drift(mu ** 2 * kappa), phi0)
     band = 3.0 * float(np.hypot(e1.std_error, e2.std_error))
     diff = abs(e1.mean - e2.mean)
     passed = diff <= band and not e2.unreliable

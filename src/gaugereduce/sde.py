@@ -132,18 +132,19 @@ def _chunk_normals(seed, lo, hi, n_steps, dim):
     draws of ``path_rng(seed, i).standard_normal((n_steps, dim))``.
 
     One Philox generator serves the whole chunk.  Before each path it is
-    reset to a copy of its unused state (counter 0, empty output buffer)
-    with the key set to (seed, i), which is the state ``path_rng``
-    constructs, without a fresh bit generator (and its entropy draw) per
-    path.  It stays local to the call, so chunks running on different
-    threads share no state.
+    reset to the unused state (counter 0, empty output buffer) with the key
+    set to (seed, i), which is the state ``path_rng`` constructs, without a
+    fresh bit generator (and its entropy draw) per path.  The state is given
+    in plain Python ints and lists, which the setter reads faster than
+    numpy arrays.  It stays local to the call, so chunks running on
+    different threads share no state.
     """
     out = np.empty((hi - lo, n_steps, dim))
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    key[0] = seed
+    key = [int(seed), 0]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(lo, hi):
         key[1] = i
         bitgen.state = fresh

@@ -1,19 +1,25 @@
-"""Dense and closed-form references that only tests read.
+"""Dense, sparse and closed-form references that only tests read.
 
 The package computes the reduced step's noise map, the reduction Jacobian
 and the Feynman-Kac estimates in the forms its commands run
 (:func:`gaugereduce.orbit.apply_N_f`, :meth:`OrbitGeometry.jacobian`, the
 grid oracle).  The forms here are the independent targets they are checked
 against: the frame map N_f as a dense matrix, sigma'' as a dense Hessian,
-the Gaussian closed forms of the two classic oracle benchmarks, and the
-writer of the field files ``gauge-reduce jacobian --field-file`` reads.
+the grid oracle's generator as a scipy sparse matrix with scipy's
+``expm_multiply``, the Gaussian closed forms of the two classic oracle
+benchmarks, and the writer of the field files ``gauge-reduce jacobian
+--field-file`` reads.  scipy is imported inside the two functions that use
+it, so the other references load without it.
 """
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from gaugereduce.gauge import green_divergence, jbar
+from gaugereduce.kolmogorov import value_at
 
 
 def dense_N_f(lat, f_tilde, g0):
@@ -42,6 +48,36 @@ def hess_ff(geo):
         hess[..., a, sites, a, sites] += diag_term
     hess = hess.reshape(geo.lead + (2 * V, 2 * V))
     return 0.5 * (hess + np.swapaxes(hess, -2, -1))
+
+
+def sparse_generator(v, dof, points_per_dof, halfwidth, mu, kappa):
+    """Grid nodes and the backward-equation generator as a csr matrix:
+    (1/2) mu^2 kappa times the Kronecker sum of the 1-d three-point
+    Laplacians plus the diagonal V / (mu^2 kappa).  Returns (axis, nodes,
+    generator)."""
+    import scipy.sparse
+    g = points_per_dof
+    axis = np.linspace(-halfwidth, halfwidth, g)
+    h = axis[1] - axis[0]
+    lap1 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(g, g), format="csr") / h ** 2
+    # the dof-dimensional Laplacian is the Kronecker sum of the 1-d ones
+    lap = functools.reduce(lambda a, b: scipy.sparse.kronsum(a, b, format="csr"),
+                           [lap1] * dof)
+    nodes = np.stack(np.meshgrid(*([axis] * dof), indexing="ij"), axis=-1).reshape(-1, dof)
+    v_diag = np.asarray(v(nodes), dtype=float)
+    gen = 0.5 * mu ** 2 * kappa * lap + scipy.sparse.diags(v_diag / (mu ** 2 * kappa))
+    return axis, nodes, gen.tocsr()
+
+
+def sparse_solve_value(v, phi0, x0, T, mu, kappa, dof, points_per_dof, halfwidth):
+    """:func:`gaugereduce.kolmogorov.solve_value` with the generator of
+    :func:`sparse_generator` and scipy's ``expm_multiply``."""
+    from scipy.sparse.linalg import expm_multiply
+    axis, nodes, gen = sparse_generator(v, dof, points_per_dof, halfwidth, mu, kappa)
+    psi = expm_multiply(gen * T, np.asarray(phi0(nodes), dtype=float))
+    grid = SimpleNamespace(dof=dof, points_per_dof=points_per_dof, axis=axis,
+                           spacing=axis[1] - axis[0])
+    return value_at(grid, psi, x0)
 
 
 def heat_value(x0, phi0_var, v_rate, T):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from gaugereduce.kolmogorov import (build_generator, compare, discretization_budget,
                                     evolve, solve_value, value_at)
 from gaugereduce.sde import FKEstimate
-from references import heat_value, mehler_value
+from references import heat_value, mehler_value, sparse_solve_value
 
 ZERO_V = lambda x: np.zeros(x.shape[0])
 
@@ -29,7 +29,7 @@ def test_generator_structure_1dof():
             for k in range(dof):
                 term = np.kron(term, lap1 if k == m else eye)
             expect += term
-        assert_allclose(pde.generator.toarray(), 0.5 * mu ** 2 * kappa * expect / h ** 2,
+        assert_allclose(pde.apply(np.eye(g ** dof)), 0.5 * mu ** 2 * kappa * expect / h ** 2,
                         atol=1e-14)
         assert pde.nodes.shape == (g ** dof, dof)
         assert_allclose(pde.nodes[1], [pde.axis[0]] * (dof - 1) + [pde.axis[1]], atol=0)
@@ -37,7 +37,7 @@ def test_generator_structure_1dof():
 
 def test_generator_symmetric_with_potential():
     pde = build_generator(lambda x: -np.sum(x ** 2, axis=1), 2, 15, 2.0, 1.0, 1.0)
-    gen = pde.generator
+    gen = pde.apply(np.eye(15 ** 2))
     assert abs(gen - gen.T).max() <= 1e-14
 
 
@@ -52,13 +52,37 @@ def test_grid_eigenvalues_match_dirichlet_formula():
     mu, kappa, g, L = 1.0, 1.0, 40, 1.0
     pde = build_generator(ZERO_V, 1, g, L, mu, kappa)
     h = pde.spacing
-    evals = np.sort(np.linalg.eigvalsh(pde.generator.toarray()))[::-1]
+    evals = np.sort(np.linalg.eigvalsh(pde.apply(np.eye(g))))[::-1]
     k = np.arange(1, g + 1)
     exact_grid = -0.5 * mu ** 2 * kappa * 4.0 / h ** 2 * np.sin(k * np.pi / (2 * (g + 1))) ** 2
     assert_allclose(evals, exact_grid, atol=1e-10)
     L_eff = L + h
     continuum = -0.5 * mu ** 2 * kappa * (k[:3] * np.pi / (2 * L_eff)) ** 2
     assert_allclose(evals[:3], continuum, rtol=5e-3)
+
+
+def _budget_grids():
+    # the coarse, wide and fine solves of discretization_budget on the
+    # compare-oracle grids of the benchmark: 201, 81 and 41 points at dof
+    # 1, 2 and 3 on the halfwidth-5 box
+    for dof, pts in ((1, 201), (2, 81), (3, 41)):
+        m = pts // 2
+        pad = -(-m // 4)
+        for g, hw in ((m + 1, 5.0), (m + 2 * pad + 1, 5.0 * (m + 2 * pad) / m), (pts, 5.0)):
+            yield dof, g, hw
+
+
+@pytest.mark.parametrize("dof,g,hw", list(_budget_grids()))
+def test_solve_value_matches_the_scipy_reference(dof, g, hw):
+    # the stencil and its Taylor action against the csr generator and
+    # scipy's expm_multiply, on the Mehler problem the oracle command solves
+    v = lambda x: -0.5 * np.sum(x ** 2, axis=1)
+    phi0 = lambda x: np.ones(x.shape[0])
+    x0 = np.linspace(-0.4, 0.6, dof)
+    for T in (0.025, 0.25, 1.0):
+        got = solve_value(v, phi0, x0, T, 1.0, 1.0, dof, g, hw)
+        want = sparse_solve_value(v, phi0, x0, T, 1.0, 1.0, dof, g, hw)
+        assert abs(got - want) <= 1e-12 * abs(want), (T, got, want)
 
 
 def test_evolve_time_zero_is_identity():

@@ -513,6 +513,20 @@ def test_cmd_compare_oracle_mehler(tmp_path):
     assert rows[1][rows[0].index("verdict")] == "PASS"
 
 
+def test_two_site_drift_is_the_concatenated_closure():
+    # the drift divides through an (m, 2, 2) view, bitwise the closure that
+    # divided by the two-site |f|^2 concatenated to the state's width
+    pref = 1.3
+
+    def concatenated(x):
+        r2 = 2 * (x[:, :2] ** 2 + x[:, 2:] ** 2)
+        return pref * x / np.concatenate([r2, r2], axis=1)
+
+    x = np.random.default_rng(8).standard_normal((4096, 4))
+    for rows in (x, x[:7], x[:1]):
+        assert runner._two_site_drift(pref)(rows).tobytes() == concatenated(rows).tobytes()
+
+
 def test_cmd_compare_oracle_girsanov(tmp_path):
     # the girsanov oracle runs on its fixed two-site chain; lattice keys are
     # refused (see the test below), so this config leaves them out
@@ -582,30 +596,32 @@ def test_main_runs_check(tmp_path):
     assert main(["check", str(path)]) == 0
 
 
-def test_only_compare_oracle_imports_scipy(tmp_path):
-    # a fresh process runs check, jacobian and both simulate processes without
-    # loading scipy; the backward-equation oracle of compare-oracle loads it
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh process in which importing scipy fails runs check, jacobian,
+    # both simulate processes and compare-oracle mehler and girsanov
     lattice = {"lattice.dim": 2, "lattice.sites_per_dim": 3}
-    runs = [("check", {}), ("jacobian", {}),
-            ("simulate", {"sde.process": "reduced", "sde.n_steps": 10, "sde.n_paths": 20}),
-            ("simulate", {"sde.process": "original", "sde.n_steps": 10, "sde.n_paths": 20})]
+    no_lattice = {"lattice.dim": None, "lattice.sites_per_dim": None}
+    runs = [("check", lattice), ("jacobian", lattice),
+            ("simulate", {**lattice, "sde.process": "reduced", "sde.n_steps": 10,
+                          "sde.n_paths": 20}),
+            ("simulate", {**lattice, "sde.process": "original", "sde.n_steps": 10,
+                          "sde.n_paths": 20}),
+            ("compare-oracle", {**no_lattice, "oracle.kind": "mehler", "oracle.dof": 1,
+                                "oracle.grid_points": 41, "sde.dt": 0.01,
+                                "sde.n_steps": 100, "sde.n_paths": 2000}),
+            ("compare-oracle", {**no_lattice, "oracle.kind": "girsanov", "sde.dt": 0.002,
+                                "sde.n_steps": 100, "sde.n_paths": 2000})]
     paths = []
     for i, (command, overrides) in enumerate(runs):
         (tmp_path / str(i)).mkdir()
-        path, _ = make_config(tmp_path / str(i), **lattice, **overrides)
+        path, _ = make_config(tmp_path / str(i), **overrides)
         paths.append((command, str(path)))
-    (tmp_path / "oracle").mkdir()
-    oracle, _ = make_config(tmp_path / "oracle", **{
-        "oracle.kind": "mehler", "oracle.dof": 1, "oracle.grid_points": 41,
-        "sde.dt": 0.01, "sde.n_steps": 100, "sde.n_paths": 2000})
     script = f"""
 import sys
+sys.modules["scipy"] = None
 from gaugereduce import runner
 for command, path in {paths!r}:
-    assert runner.main([command, path]) == 0, command
-    assert "scipy" not in sys.modules, command
-assert runner.main(["compare-oracle", {str(oracle)!r}]) == 0
-assert "scipy" in sys.modules
+    assert runner.main([command, path]) == 0, (command, path)
 """
     src = str(Path(runner.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

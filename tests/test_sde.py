@@ -64,7 +64,8 @@ def test_path_rng_keys_every_64_bit_seed():
     assert not np.array_equal(draw(2 ** 64 - 1), draw(0))
 
 
-@pytest.mark.parametrize("seed,n_steps,dim", [(7, 30, 1), (2 ** 63 + 1, 5, 3)])
+@pytest.mark.parametrize("seed,n_steps,dim", [(7, 30, 1), (2 ** 63 + 1, 5, 3),
+                                               (2 ** 64 - 1, 4, 2)])
 def test_chunk_normals_are_the_per_path_streams(seed, n_steps, dim):
     # row i of a chunk is path i's own (seed, i) stream, bit for bit, and
     # does not depend on where the chunk ends (that is, on n_paths)
