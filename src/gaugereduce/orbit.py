@@ -71,15 +71,9 @@ from .lattice import matvec
 
 
 class SingularOrbitMetric(Exception):
-    """Raised when the orbit metric degenerates (f~ too close to zero).
-
-    ``rows`` holds the indices (into the flattened leading axes of a stack)
-    of the degenerate states.
-    """
-
-    def __init__(self, message, rows=()):
-        super().__init__(message)
-        self.rows = np.asarray(rows, dtype=int)
+    """Raised when the orbit metric degenerates: f~ identically zero, or a D
+    that floating-point Cholesky refuses (f~ too close to zero, or g0^2 |f~|^2
+    too small against -div o grad); a stack raises for any of its states."""
 
 
 @dataclass
@@ -155,28 +149,24 @@ class JacobianReport:
     n_sites: int
 
 
-def _is_positive_definite(M):
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _nonzero_doublet(lat, f_tilde):
     """f~ as a doublet stack (..., 2, V); raises :class:`SingularOrbitMetric`
-    naming the states with f~ identically zero, where no orbit is lifted."""
+    when a state has f~ identically zero, where no orbit is lifted."""
     f_tilde = lat.check_doublet(f_tilde, stacked=True)
-    zero = ~np.any(f_tilde, axis=(-2, -1))
-    if np.any(zero):
-        raise SingularOrbitMetric("orbit metric is singular for f~ identically zero",
-                                  rows=np.flatnonzero(zero))
+    if not np.any(f_tilde, axis=(-2, -1)).all():
+        raise SingularOrbitMetric("orbit metric is singular for f~ identically zero")
     return f_tilde
 
 
 def orbit_metric(lat, f_tilde, g0):
     """Assemble and factorize the orbit metric for scalar configuration f~,
-    shape (2, V) or a stack (..., 2, V)."""
+    shape (2, V) or a stack (..., 2, V); raises :class:`SingularOrbitMetric`
+    when Cholesky refuses the D of any state.  D is positive definite exactly
+    whenever g0^2 |f~|^2 > 0 at every site, but Cholesky in floating point
+    also needs it well enough conditioned: it refuses D for f~ = (1, 0) on
+    (1, 3) at h = 1 and g0 = 1e-9, so ``jacobian`` (which needs Dinv)
+    reports that state singular, while the reduced step, which reads no D,
+    goes on."""
     f_tilde = _nonzero_doublet(lat, f_tilde)
     V = lat.n_sites
     # G^T G = -(div o grad) because the central differences are antisymmetric
@@ -186,8 +176,7 @@ def orbit_metric(lat, f_tilde, g0):
     try:
         chol = np.linalg.cholesky(D)
     except np.linalg.LinAlgError:
-        bad = [i for i, M in enumerate(D.reshape(-1, V, V)) if not _is_positive_definite(M)]
-        raise SingularOrbitMetric("orbit metric not positive definite", rows=bad) from None
+        raise SingularOrbitMetric("orbit metric not positive definite") from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return OrbitMetric(D, chol, logdet, V)
 

@@ -26,13 +26,13 @@ One Euler loop, :func:`_integrate_chunk`, integrates both processes in
 chunks of paths whose flat states are stacked along a leading axis.  The
 process is its step callable ``step(x, dw) -> (x, keep)``: a flat process
 steps x + drift(x) dt + sigma dw, and the reduced step of
-:func:`_reduced_step` certifies the orbit metric of each going path
-positive definite from its diagonal alone, factorizes (never inverts) only
-the metrics the certificate cannot clear, and stops the paths it cannot
-step, which are reported in the abort fraction; when the whole chunk
-passes at once it gathers no rows and returns ``keep`` None.  A chunk with
-no path left stops, and its rows are capped so its noise (and, for the
-reduced process, its step's orbit metrics) stays within about _CHUNK_BYTES.
+:func:`_reduced_step` stops a path only on what it computes (a non-finite
+state, |f~|^2 below the floor, g0^2 |f~|^2 underflowed to 0 at a site, or
+a drift step beyond the scale of f~), so it never assembles the orbit
+metric; stopped paths are reported in the abort fraction, and when the
+whole chunk goes on at once the step gathers no rows and returns ``keep``
+None.  A chunk with no path left stops, and its rows are capped so its
+noise and step arrays stay within about _CHUNK_BYTES.
 
 Reproducibility contract: every path draws from its own counter-based
 stream, Philox keyed by (seed, path index), so path i's noise does not
@@ -57,7 +57,7 @@ import numpy as np
 
 from .gauge import transverse_projector
 from .lattice import matvec
-from .orbit import SingularOrbitMetric, apply_N_f, orbit_metric, scalar_drift
+from .orbit import apply_N_f, scalar_drift
 
 EXPONENT_GUARD = 700.0
 SINGULARITY_FLOOR = 1e-10
@@ -340,105 +340,46 @@ def weak_convergence_estimates(phi0, drift, initial, mu, kappa, seed, n_paths,
     return {dt: _reduce_estimate(values[dt]) for dt in dts}
 
 
-def _metric_certificate(lat):
-    """Per-lattice test ``cleared(w)``, w = g0^2 |f~|^2 of shape (rows, V):
-    True marks the rows whose orbit metric D = -Phi + diag(w), Phi =
-    div o grad, as :func:`~.orbit.orbit_metric` assembles it, is certain to
-    pass floating-point Cholesky.  -Phi is positive semidefinite, so with
-    rho its largest absolute row sum (a Gershgorin bound) and u the unit
-    roundoff
-
-        lambda_min(D) >= (1 - u) min w - 4 V u rho - V^2 tiny,
-        lambda_max(D) <= rho + max w,
-
-    the slack covering the rounding of -Phi and of D's diagonal and, at
-    tiny (the least normal number), underflow.  D scaled to unit diagonal,
-    H, has kappa_2(H) <= lambda_max(D) max diag(D) / (lambda_min(D) min
-    diag(D)), with diag(D) within diag(-Phi) + [min w, max w].  A row is
-    cleared when 20 V^2 u kappa_2(H) < 1: that meets Demmel's condition
-    20 V^{3/2} u kappa_2(H) < 1 for Cholesky to run to completion (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1,
-    Thm 10.7), and gives lambda_min(H) > 20 V^2 u, above the
-    V gamma_{V+1} of its lambda_min form.  A bound that overflows clears
-    nothing.  A row of w may hold several states' entries (a whole chunk's):
-    clearing it clears each of them, as their ranges lie within its range.
-    """
-    K = -lat.fp_matrix()
-    diag = np.diagonal(K)
-    dmin, dmax, rho = diag.min(), diag.max(), np.abs(K).sum(axis=1).max()
-    V = lat.n_sites
-    u = np.finfo(float).eps / 2
-    slack = 4.0 * V * u * rho + V * V * np.finfo(float).tiny
-    demmel = 20.0 * V * V * u
-
-    def cleared(w):
-        wmin, wmax = w.min(axis=-1), w.max(axis=-1)
-        return demmel * ((rho + wmax) * (dmax + wmax)) < (dmin + wmin) * ((1.0 - u) * wmin - slack)
-
-    return cleared
-
-
-def _positive_definite_rows(lat, f, g0, keep, cleared):
-    """The states f[keep], after clearing ``keep`` for the states whose orbit
-    metric is not positive definite; None if none is left.  Only the states
-    of f[keep] that the certificate has not ``cleared`` are factorized, in
-    one stacked :func:`~.orbit.orbit_metric` (no inverse)."""
-    doubt = np.flatnonzero(keep)[~cleared]
-    if doubt.size:
-        try:
-            orbit_metric(lat, f[doubt], g0)
-        except SingularOrbitMetric as exc:
-            if not exc.rows.size:
-                raise
-            keep[doubt[exc.rows]] = False
-    return f[keep] if keep.any() else None
-
-
 def _reduced_step(lat, g0, cfg):
     """Euler step of the reduced process for :func:`_integrate_chunk`, on flat
     states (A*, f~1, f~2) of (s + 2)V entries.
 
     A row stops before the step when its A* or a sitewise |f~|^2 is not
-    finite, when its min |f~|^2 is below the singularity floor or when its
-    orbit metric D is not positive definite; it stops after the step when
-    one drift displacement mu^2 kappa dt |drift_f| / h^s exceeds |f~| at a
-    site, since the Euler step has then left the scale on which the drift
-    was evaluated.  As -div o grad is positive semidefinite,
-    D >= g0^2 min |f~|^2 I; :func:`_metric_certificate` bounds kappa_2 of D
-    scaled to unit diagonal from this and Gershgorin, and clears a row when
-    Demmel's condition for Cholesky to complete holds (Higham, 2nd ed.,
-    Thm 10.7).  Only the rows it cannot clear (an underflowed g0^2 |f~|^2,
-    extreme spacings, a state near the floor at large V) are factorized,
-    so the rows that stop are those a factorization of every row stops.
-    The tests run first on the whole chunk, the certificate on its range
-    of g0^2 |f~|^2; when it passes, the chunk's arrays are stepped as they
-    are and ``keep`` is None, and only otherwise are rows tested one by one
-    and the going ones gathered.  The drift (:func:`~.orbit.scalar_drift`)
-    and the scalar-sector noise N_f dw_A (:func:`~.orbit.apply_N_f`, the
-    map ``check`` verifies) read no orbit metric; A* has no drift, so one
-    projector application gives both the noise P dw_A and the
-    re-projection onto div(A*) = 0.
+    finite, when its min |f~|^2 is below the singularity floor or when
+    w = g0^2 |f~|^2 is 0 at a site; it stops after the step when one drift
+    displacement mu^2 kappa dt |drift_f| / h^s exceeds |f~| at a site, since
+    the Euler step has then left the scale on which the drift was evaluated.
+    The orbit metric is D = -div o grad + diag(w), and -div o grad = G^T G
+    is positive semidefinite, so w > 0 at every site gives v^T D v >=
+    sum_x w(x) v(x)^2 > 0 for every v != 0: D is positive definite exactly,
+    and only a w that underflows to 0 (the floor keeps |f~|^2 away from 0)
+    can leave it singular.  The step never assembles D, let alone factorizes it: the
+    drift (:func:`~.orbit.scalar_drift`) and the scalar-sector noise
+    N_f dw_A (:func:`~.orbit.apply_N_f`, the map ``check`` verifies) read no
+    orbit metric.  The tests run first on the whole chunk; when it passes,
+    the chunk's arrays are stepped as they are and ``keep`` is None, and
+    only otherwise are rows tested one by one and the going ones gathered.
+    A* has no drift, so one projector application gives both the noise
+    P dw_A and the re-projection onto div(A*) = 0.
     """
     s, V = lat.dim, lat.n_sites
     nA = s * V
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt / lat.spacing ** s
     P = transverse_projector(lat)
-    certificate = _metric_certificate(lat)
 
     def step(x, dw):
         A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
         f2 = (f ** 2).sum(axis=-2)
-        w = g0 ** 2 * f2        # bitwise the diagonal orbit_metric adds to -Phi
+        w = g0 ** 2 * f2
         keep = None
         if not (np.isfinite(A).all() and np.isfinite(f2).all()
-                and f2.min() >= SINGULARITY_FLOOR and certificate(w.reshape(1, -1))[0]):
+                and f2.min() >= SINGULARITY_FLOOR and w.min() > 0):
             keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
-                    & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
-            f = _positive_definite_rows(lat, f, g0, keep, certificate(w[keep]))
-            if f is None:
+                    & (f2.min(axis=-1) >= SINGULARITY_FLOOR) & (w.min(axis=-1) > 0))
+            if not keep.any():
                 return x[keep], keep
-            A, f2, dw = A[keep], f2[keep], dw[keep]
+            A, f, f2, dw = A[keep], f[keep], f2[keep], dw[keep]
         move = pref * scalar_drift(lat, f, g0)
         NdwA = apply_N_f(lat, f, g0, dw[:, :nA])
         new = np.empty((len(dw), s + 2, V))
@@ -485,12 +426,11 @@ def reduced_batch_diagnostics(lat, initial, g0, cfg):
         ends[lo + rows[keep]] = x[keep]
         done[lo + rows[keep]] = True
 
-    # a row holds a path's noise (n_steps x d normals), 6 d-vectors of states
-    # and increments and, only if the metric certificate cannot clear it, the
-    # step's D and its Cholesky factor (2 V x V arrays, charged to every row;
-    # tracemalloc with them: 1.77 to 1.93 V x V beyond the noise and 6 d from
-    # V = 16 to 216, 5.8 d-vectors beyond the noise on (1, 2) and (1, 3))
-    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 6 * d + 2 * V * V))
+    # a row holds a path's noise (n_steps x d normals) and one step's
+    # states, increments and temporaries, a few d-vectors; no row holds an
+    # orbit metric (tracemalloc beyond the noise: 7.0 d from (2, 3) to
+    # (3, 6), 8.1 to 8.2 d on (1, 2) and (1, 3), whose rows are narrowest)
+    _run_chunks(run, cfg.n_paths, 8 * (cfg.n_steps * d + 9 * d))
     ends = ends[done]
     return (cfg.n_paths - len(ends)) / cfg.n_paths, ends
 

@@ -6,13 +6,14 @@ import io
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaugereduce import kolmogorov, orbit, runner
-from gaugereduce.gauge import FieldPair
+from gaugereduce.gauge import FieldPair, faddeev_popov
 from gaugereduce.lattice import Lattice
 from gaugereduce.runner import (ConfigError, cmd_check, cmd_compare_oracle,
                                 cmd_jacobian, cmd_simulate, main, parse_config,
@@ -74,13 +75,28 @@ def test_parse_rejects_bad_values():
 
 
 def test_check_passes_on_long_chains(tmp_path):
-    # the Green function is built in closed form, so green @ 1 stays within
-    # the 1e-12 of `fp_green_kills_constants` on 1-d lattices of 64 and 101 sites
-    for n in (64, 101):
+    # green @ 1 is stated relative to ||green||_inf, so the rounding of its
+    # row sums, (V - 1) u at most, stays within the 1e-12 of
+    # `fp_green_kills_constants` up to V = 512 (as an absolute residual it
+    # read 1.43e-12 on 257 sites)
+    for n in (64, 101, 257, 512):
         path, _ = make_config(tmp_path, **{"lattice.dim": 1, "lattice.sites_per_dim": n})
         assert main(["check", str(path)]) == 0
         rows = read_rows(tmp_path / "out" / "check.csv")
         assert all(row[3] == "pass" for row in rows[1:])
+
+
+@pytest.mark.parametrize("s,n,h", [(1, 3, 1.0), (1, 257, 1.0), (1, 512, 1.0),
+                                   (1, 256, 100.0), (3, 8, 0.01), (2, 16, 0.01)])
+def test_green_row_fails_a_green_off_the_zero_mode_projection(s, n, h):
+    # green + c 1 1^T, c = 1e-6 max|green|, no longer kills constants: the
+    # row reads far above its tolerance, where the true green reads rounding
+    lat = Lattice(s, n, h)
+    green = faddeev_popov(lat).green
+    sample = types.SimpleNamespace(lat=lat, fp=types.SimpleNamespace(green=green))
+    assert runner._green_kills_constants(sample) <= 1e-14
+    sample.fp.green = green + 1e-6 * np.abs(green).max()
+    assert runner._green_kills_constants(sample) > 1e-7
 
 
 def test_main_exit_codes(tmp_path):
@@ -439,6 +455,27 @@ def test_cmd_simulate_reduced_divergent_step_aborts(tmp_path):
         header, row = read_rows(tmp_path / "out" / "simulate.csv")
         assert float(row[header.index("abort_fraction")]) == abort
         assert row[header.index("status")] == status
+
+
+def test_cmd_simulate_reduced_runs_where_cholesky_refuses_the_orbit_metric(tmp_path):
+    # at g0 = 1e-9 floating-point Cholesky refuses D on (1, 3) (`jacobian`
+    # reports it singular), yet g0^2 |f~|^2 > 0 keeps D positive definite
+    # and the step reads no D: every path completes, and E sum |f~|^2 is
+    # near its g0 -> 0 value V (1 + 2T) = 3 + 6T
+    path, cfg = make_config(tmp_path, **{
+        "lattice.dim": 1, "lattice.sites_per_dim": 3, "fields.g0": 1e-9,
+        "sde.n_paths": 200, "sde.n_steps": 50, "sde.dt": 0.01,
+        "sde.process": "reduced", "simulate.phi0": "sum_squares",
+    })
+    assert main(["jacobian", str(path)]) == 1
+    header, row = read_rows(tmp_path / "out" / "jacobian.csv")
+    assert row[header.index("status")].startswith("singular")
+    assert main(["simulate", str(path)]) == 0
+    header, row = read_rows(tmp_path / "out" / "simulate.csv")
+    assert float(row[header.index("abort_fraction")]) == 0.0
+    assert row[header.index("status")] == "ok"
+    mean, se = float(row[header.index("mean")]), float(row[header.index("std_error")])
+    assert abs(mean - (3.0 + 6.0 * cfg.sde().horizon)) <= 4.0 * se
 
 
 def test_cmd_simulate_reduced_byte_identical_across_threads_and_chunks(tmp_path,

@@ -268,9 +268,11 @@ def test_flipped_N_f_fails_check_and_noise_structure(monkeypatch, tmp_path):
 
 
 def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatch):
-    # the metric certificate clears these states, so an Euler step neither
-    # factorizes nor inverts the orbit metric: no orbit_metric, no
-    # np.linalg.inv, no OrbitGeometry
+    # g0^2 |f~|^2 > 0 at every site certifies the orbit metric positive
+    # definite, so an Euler step neither factorizes nor inverts it: no
+    # orbit_metric, no np.linalg.inv, no OrbitGeometry; the paths go on at
+    # g0 = 1e-9 on (1, 3), whose D Cholesky refuses, at 1e-7 and 7e-7, and
+    # at 1e-160, where g0^2 |f~|^2 is subnormal
     namespaces = [m for name, m in sys.modules.items()
                   if name == "gaugereduce" or name.startswith("gaugereduce.")]
     counts = {}
@@ -297,77 +299,15 @@ def test_reduced_step_neither_factorizes_nor_inverts_certified_states(monkeypatc
     monkeypatch.setattr(orbit.OrbitGeometry, "__init__", no_geometry)
     lat = Lattice(2, 3)
     rng = np.random.default_rng(5)
-    x0 = _start(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0)
-    abort, _ = reduced_batch_diagnostics(lat, x0, 0.8, SDEConfig(1.0, 1.0, 1e-2, 3, 2, 1))
-    assert abort == 0.0
+    random = _start(np.zeros((2, 9)), rng.standard_normal((2, 9)) + 2.0)
+    cases = [(lat, random, g0, SDEConfig(1.0, 1.0, 1e-2, 3, 2, 1)) for g0 in (0.8, 1e-160)]
+    cases += [(Lattice(s, n), None, g0, SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4))
+              for s, n, g0 in ((1, 3, 1e-9), (1, 2, 1e-160), (2, 3, 1e-7), (2, 3, 7e-7))]
+    for lat, x0, g0, cfg in cases:
+        x0 = _uniform_start(lat) if x0 is None else x0
+        abort, _ = reduced_batch_diagnostics(lat, x0, g0, cfg)
+        assert abort == 0.0, (lat.spec, g0)
     assert counts == {"orbit_metric": 0, "inv": 0}
-
-
-CERTIFICATE_LATTICES = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (3, 4), (3, 8), (1, 101)]
-
-
-@pytest.mark.parametrize("s,n", CERTIFICATE_LATTICES)
-def test_metric_certificate_clears_only_what_cholesky_factorizes(s, n):
-    # every state the certificate clears has an orbit metric that
-    # orbit_metric (numpy's Cholesky of the D it assembles) factorizes, at
-    # spacings 1e-8 to 1e3 and g0^2 |f~|^2 from subnormal (or underflowed to
-    # 0) to 1e5; the certificate clears some states and refuses others on
-    # every lattice and spacing
-    rng = np.random.default_rng(80 + 10 * s + n)
-    for h in (1e-8, 1e-3, 1.0, 1e3):
-        lat = Lattice(s, n, h)
-        V = lat.n_sites
-        rho = np.abs(lat.fp_matrix()).sum(axis=1).max()
-        ws = []
-        for e in range(-320, 6, 15):
-            ws.append(10.0 ** (e + rng.uniform(0, 1, V)))          # one scale
-            ws.append(10.0 ** rng.uniform(max(e, -30), 5, V))      # up to 35 decades
-            w = np.ones(V)
-            w[rng.integers(V)] = 10.0 ** e                         # one small site
-            ws.append(w)
-        for t in np.geomspace(1e-16, 1e-6, 11):                   # near the threshold
-            ws.append(t * rho * rng.uniform(1, 2, V))
-        ws = np.array(ws)
-        states = [(np.stack([np.sqrt(ws), np.zeros_like(ws)], axis=-2), 1.0)]
-        # g0^2 |f~|^2 subnormal or underflowed to 0 at some sites
-        states.append((np.sqrt(10.0 ** rng.uniform(-10, 0, (8, 1, V))) * [[1.0], [0.0]],
-                       1e-160))
-        n_cleared = n_refused = 0
-        for f, g0 in states:
-            cleared = sde._metric_certificate(lat)(g0 ** 2 * (f ** 2).sum(axis=-2))
-            n_cleared += cleared.sum()
-            n_refused += (~cleared).sum()
-            for chunk in np.array_split(f[cleared], max(1, cleared.sum() // 8)):
-                orbit.orbit_metric(lat, chunk, g0)
-        assert n_cleared > 0 and n_refused > 0, (h, n_cleared, n_refused)
-
-
-@pytest.mark.parametrize("s,n,g0,mixed", [(1, 2, 1e-160, False), (2, 3, 1e-7, False),
-                                          (2, 3, 7e-7, True)])
-def test_reduced_step_factorizes_states_the_certificate_refuses(monkeypatch, s, n, g0, mixed):
-    # g0^2 |f~|^2 subnormal on the two-site chain, or too small for the
-    # certificate on (2, 3): the step factorizes these metrics, LAPACK
-    # accepts them and the paths go on, bitwise as when every state is
-    # factorized (at g0 = 7e-7 the certificate clears some states of the
-    # chunk and refuses others)
-    lat = Lattice(s, n)
-    V = lat.n_sites
-    x0 = _start(np.zeros((s, V)), np.stack([np.ones(V), np.zeros(V)]))
-    cfg = SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4)
-    metric, factorized = orbit.orbit_metric, []
-
-    def counted(lat, f, g0):
-        factorized.append(len(f))
-        return metric(lat, f, g0)
-
-    monkeypatch.setattr(sde, "orbit_metric", counted)
-    abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
-    assert abort == 0.0 and 0 < sum(factorized)
-    assert (sum(factorized) < cfg.n_steps * cfg.n_paths) == mixed
-    monkeypatch.setattr(sde, "_metric_certificate",
-                        lambda lat: lambda w: np.zeros(len(w), dtype=bool))
-    every_abort, every = reduced_batch_diagnostics(lat, x0, g0, cfg)
-    assert every_abort == 0.0 and np.array_equal(ends, every)
 
 
 def _uniform_start(lat):
@@ -392,6 +332,34 @@ def test_reduced_mean_is_the_exact_euler_mean_at_any_spacing(h):
     assert abs(f1.mean() - exact) <= 4.0 * f1.std(ddof=1) / math.sqrt(len(f1))
 
 
+@pytest.mark.parametrize("s,n,h,g0,dt,n_steps,seed", [
+    (1, 3, 1.0, 3.0, 0.05, 20, 31), (2, 3, 1.0, 2.0, 0.1, 10, 32),
+    (1, 5, 0.5, 2.0, 0.02, 25, 33)])
+def test_reduced_second_moment_is_the_exact_euler_recurrence(s, n, h, g0, dt, n_steps, seed):
+    # one Euler step moves f~ by a f~, a = mu^2 kappa dt g0^2 green(x, x) /
+    # (2 h^s) < 0, and N_f dw_A adds variance -2 a |f~|^2 at a site (as
+    # (green div)(green div)^T = -green), so E|f~|^2 maps to (1 + a)^2
+    # E|f~|^2 - 2 a E|f~|^2 + q = (1 + a^2) E|f~|^2 + q, q = 2 mu^2 kappa dt
+    # / h^s, exactly at any dt.  At these large a the mean reads 8 to 51
+    # standard errors from the continuous value 1 + 2 mu^2 kappa T / h^s,
+    # and drift x 0.9 or x 1.1, N_f x 0.9 or no drift move it 9 or more
+    # from the recurrence
+    lat = Lattice(s, n, h)
+    V = lat.n_sites
+    cfg = SDEConfig(1.0, 1.0, dt, n_steps, 40_000, seed)
+    abort, ends = reduced_batch_diagnostics(lat, _uniform_start(lat), g0, cfg)
+    assert abort == 0.0
+    hs = h ** s
+    a = cfg.mu ** 2 * cfg.kappa * dt * g0 ** 2 * faddeev_popov(lat).green[0, 0] / (2 * hs)
+    q = 2 * cfg.mu ** 2 * cfg.kappa * dt / hs
+    exact = 1.0
+    for _ in range(n_steps):
+        exact = (1.0 + a * a) * exact + q
+    m2 = (ends[:, s * V:] ** 2).sum(axis=1) / V
+    se = m2.std(ddof=1) / math.sqrt(len(m2))
+    assert abs(m2.mean() - exact) <= 4.0 * se
+
+
 def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
     # a raised floor makes some paths abort part way; one chunk of all paths
     # aborts exactly the paths that one-path chunks abort, and the surviving
@@ -412,14 +380,16 @@ def test_reduced_batch_matches_single_steps_with_aborts(monkeypatch):
 
 def test_reduced_batch_aborts_non_positive_definite_metric():
     # on the two-site chain D = g0^2 diag|f~|^2; with g0 = 1e-160 the entry
-    # for |f~|^2 = 1e-6 (above the floor) underflows to 0, that for 1 does not
+    # for |f~|^2 = 1e-6 (above the floor) underflows to 0, that for 1 does
+    # not: D is singular, and the step stops the path on w = 0 at a site
     lat = Lattice(1, 2)
     g0 = 1e-160
     f = np.zeros((3, 2, 2))
     f[:, 0] = [[1.0, 1.0], [1.0, 1e-3], [1e-3, 1.0]]
-    with pytest.raises(SingularOrbitMetric) as info:
-        orbit.orbit_metric(lat, f, g0)
-    assert info.value.rows.tolist() == [1, 2]
+    orbit.orbit_metric(lat, f[0], g0)
+    for k in (1, 2):
+        with pytest.raises(SingularOrbitMetric):
+            orbit.orbit_metric(lat, f[k], g0)
     abort, ends = reduced_batch_diagnostics(lat, _start(np.zeros((1, 2)), f[1]), g0,
                                             SDEConfig(1.0, 1.0, 1e-3, 5, 3, 1))
     assert abort == 1.0 and ends.shape == (0, 6)
@@ -466,9 +436,8 @@ def test_reduced_endpoint_independent_of_n_paths():
 
 @pytest.mark.parametrize("s,n", [(3, 4), (2, 8), (3, 6)])
 def test_reduced_chunk_peak_stays_under_its_charge(monkeypatch, s, n):
-    # a chunk's traced peak (its noise, states and one step's geometry)
-    # stays within the rows x row_bytes the byte cap charges it; the V x V
-    # term of the charge dominates from V = 64 on
+    # a chunk's traced peak (its noise, states and one step's temporaries)
+    # stays within the rows x row_bytes the byte cap charges it
     lat = Lattice(s, n)
     x0 = _uniform_start(lat)
     cfg = SDEConfig(1.0, 1.0, 1e-3, 3, 6, 1)
@@ -653,9 +622,10 @@ def test_reduced_chunk_with_non_finite_A_star_steps_once(monkeypatch):
 # The reduced step, drift and noise map in their earlier row-by-row form,
 # kept verbatim as the bitwise reference of sde._reduced_step: that step
 # gathered the going rows of A, f, f2 and dw at every step and built
-# -g0 Jbar f~ with a stack.  Their free names (SINGULARITY_FLOOR,
-# _positive_definite_rows, jbar, ...) resolve in the namespace _frozen_run
-# builds, a copy of orbit's and sde's, so a patched floor or certificate
+# -g0 Jbar f~ with a stack.  Its stop rule is the current one, g0^2 |f~|^2
+# > 0 at every site, in place of the factorization it once made.  Their
+# free names (SINGULARITY_FLOOR, jbar, ...) resolve in the namespace
+# _frozen_run builds, a copy of orbit's and sde's, so a patched floor
 # reaches them, with the frozen maps in place of sde's.
 
 def _frozen_reduced_step(lat, g0, cfg):
@@ -664,17 +634,16 @@ def _frozen_reduced_step(lat, g0, cfg):
     noise = cfg.mu * math.sqrt(cfg.kappa) / lat.spacing ** (s / 2.0)
     pref = cfg.mu ** 2 * cfg.kappa * cfg.dt / lat.spacing ** s
     P = transverse_projector(lat)
-    certificate = _metric_certificate(lat)
 
     def step(x, dw):
         A, f = x[:, :nA], x[:, nA:].reshape(-1, 2, V)
         f2 = (f ** 2).sum(axis=-2)
         keep = (np.isfinite(A).all(axis=-1) & np.isfinite(f2).all(axis=-1)
-                & (f2.min(axis=-1) >= SINGULARITY_FLOOR))
-        # g0^2 f2 is bitwise the diagonal orbit_metric adds to -Phi
-        f = _positive_definite_rows(lat, f, g0, keep, certificate(g0 ** 2 * f2[keep]))
-        if f is None:
+                & (f2.min(axis=-1) >= SINGULARITY_FLOOR)
+                & ((g0 ** 2 * f2).min(axis=-1) > 0))
+        if not keep.any():
             return x[keep], keep
+        f = f[keep]
         dw = dw[keep]
         move = pref * scalar_drift(lat, f, g0)
         NdwA = apply_N_f(lat, f, g0, dw[:, :nA])
@@ -726,17 +695,32 @@ def _poison(monkeypatch):
     monkeypatch.setattr(sde, "_chunk_normals", poisoned)
 
 
-# (lattice, g0, cfg, patch, aborts): the benchmark's reduced commands, a
-# raised floor that stops paths part way, NaN-poisoned increments, states
-# the certificate refuses (some of them at g0 = 7e-7) and the far-drift
-# guard at dt = 30, which stops every path at step 0
+def _underflow_start(lat):
+    """f~ = (1, 0) but 1e-3 at the last site: with g0 = 1e-160,
+    g0^2 |f~|^2 underflows to 0 there."""
+    x0 = _uniform_start(lat)
+    x0[(lat.dim + 1) * lat.n_sites - 1] = 1e-3
+    return x0
+
+
+_SMALL_G0 = SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4)
+
+# (lattice, g0, cfg, patch, aborts[, start]): the benchmark's reduced
+# commands, a raised floor that stops paths part way, NaN-poisoned
+# increments, small g0 (D near or past what Cholesky factorizes at 7e-7 and
+# 1e-7, g0^2 |f~|^2 subnormal at 1e-160), g0^2 |f~|^2 underflowed to 0 at
+# one site, and the far-drift guard at dt = 30, which stops every path at
+# step 0; the start is the uniform f~ = (1, 0) unless given
 _FROZEN_CASES = {
     "bench-2-4": ((2, 4), 1.0, SDEConfig(1.0, 1.0, 1e-3, 100, 4, 21), None, "none"),
     "bench-3-4": ((3, 4), 1.0, SDEConfig(1.0, 1.0, 1e-3, 100, 2, 22), None, "none"),
     "floor": ((1, 3), 0.8, SDEConfig(1.0, 1.0, 0.03, 20, 24, 2),
               lambda mp: mp.setattr(sde, "SINGULARITY_FLOOR", 0.6), "some"),
     "nan": ((2, 3), 0.8, SDEConfig(1.0, 1.0, 5e-3, 10, 6, 3), _poison, "some"),
-    "refused": ((2, 3), 7e-7, SDEConfig(1.0, 1.0, 1e-2, 20, 6, 4), None, "none"),
+    "refused": ((2, 3), 7e-7, _SMALL_G0, None, "none"),
+    "g0-1e-7": ((2, 3), 1e-7, _SMALL_G0, None, "none"),
+    "subnormal": ((1, 2), 1e-160, _SMALL_G0, None, "none"),
+    "underflow": ((1, 2), 1e-160, _SMALL_G0, None, "all", _underflow_start),
     "far": ((1, 3), 0.8, SDEConfig(1.0, 1.0, 30.0, 5, 4, 5), None, "all"),
 }
 
@@ -745,11 +729,11 @@ _FROZEN_CASES = {
 def test_reduced_step_is_bitwise_the_frozen_row_by_row_step(monkeypatch, case):
     # endpoints and abort fractions equal those of the frozen reference
     # step, bit for bit, whether every row goes on (keep None) or some stop
-    (s, n), g0, cfg, patch, aborts = _FROZEN_CASES[case]
+    (s, n), g0, cfg, patch, aborts, *start = _FROZEN_CASES[case]
     if patch is not None:
         patch(monkeypatch)
     lat = Lattice(s, n)
-    x0 = _uniform_start(lat)
+    x0 = (start[0] if start else _uniform_start)(lat)
     abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
     ref_abort, ref = _frozen_run(monkeypatch, lat, x0, g0, cfg)
     assert abort == ref_abort
