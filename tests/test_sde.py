@@ -741,6 +741,47 @@ def test_reduced_step_is_bitwise_the_frozen_row_by_row_step(monkeypatch, case):
     assert {"none": abort == 0.0, "some": 0.0 < abort < 1.0, "all": abort == 1.0}[aborts]
 
 
+@pytest.mark.parametrize("s,n,g0,factorizes", [(2, 3, 7e-7, True)])
+def test_reduced_step_factorizes_states_the_certificate_refuses(monkeypatch, s, n, g0, factorizes):
+    # at g0 = 7e-7 on (2, 3) D sits near what Cholesky factorizes in floating
+    # point, and the orbit-metric certificate the step once ran refused some
+    # of the chunk's states.  A step that factorizes every state first and
+    # stops the rows Cholesky refuses gives the endpoints of the step that
+    # factorizes nothing, bit for bit: LAPACK accepts every state, so the
+    # stop rule w > 0 loses no path a factorizing step keeps
+    lat = Lattice(s, n)
+    nA, V = lat.dim * lat.n_sites, lat.n_sites
+    x0, cfg = _uniform_start(lat), _SMALL_G0
+    abort, ends = reduced_batch_diagnostics(lat, x0, g0, cfg)
+    real, counts = sde._reduced_step, {"factorized": 0, "refused": 0}
+
+    def factorizing(lat, g0, cfg):
+        step = real(lat, g0, cfg)
+
+        def wrapped(x, dw):
+            ok = np.ones(len(x), dtype=bool)
+            for i, f in enumerate(x[:, nA:].reshape(-1, 2, V)):
+                try:
+                    orbit.orbit_metric(lat, f, g0)
+                except SingularOrbitMetric:
+                    ok[i] = False
+            counts["factorized"] += int(ok.sum())
+            counts["refused"] += int((~ok).sum())
+            new, keep = step(x[ok], dw[ok])
+            going = np.flatnonzero(ok) if keep is None else np.flatnonzero(ok)[keep]
+            keep = np.zeros(len(x), dtype=bool)
+            keep[going] = True
+            return new, keep
+        return wrapped
+
+    monkeypatch.setattr(sde, "_reduced_step", factorizing)
+    ref_abort, ref = reduced_batch_diagnostics(lat, x0, g0, cfg)
+    assert counts["factorized"] == cfg.n_steps * cfg.n_paths
+    assert (counts["refused"] == 0) == factorizes
+    assert abort == ref_abort == 0.0
+    assert np.array_equal(ends, ref)
+
+
 def test_reduced_two_site_chain_grows_like_original_process():
     # On the two-site chain N_f = 0 and the Christoffel drift -1/2 h Gamma
     # cancels the orbit mean curvature j2 = sigma'/4 = f/(2|f|^2) exactly, so the
