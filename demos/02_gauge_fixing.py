@@ -35,11 +35,14 @@ q = from_adapted(lat, c, g0)
 print(f"round-trip residual             = {max(np.abs(q.A - p.A).max(), np.abs(q.f - p.f).max()):.2e}")
 
 print("\n=== transverse projector ===")
+# grad and div are stencils; trailing axes ride along, so gradient(I) holds
+# grad's columns and divergence of P's columns is div P
 P = transverse_projector(lat)
-G = lat.gradient_matrix()
+grad_cols = lat.gradient(np.eye(lat.n_sites)).reshape(-1, lat.n_sites)
+div_P = lat.divergence(P.reshape(lat.dim, lat.n_sites, -1))
 print(f"|P^2 - P|_max      = {np.abs(P @ P - P).max():.2e}")
-print(f"|P grad|_max       = {np.abs(P @ G).max():.2e}   (kills pure-gauge directions)")
-print(f"|div P|_max        = {np.abs(lat.divergence_matrix() @ P).max():.2e}   (lands on the surface)")
+print(f"|P grad|_max       = {np.abs(P @ grad_cols).max():.2e}   (kills pure-gauge directions)")
+print(f"|div P|_max        = {np.abs(div_P).max():.2e}   (lands on the surface)")
 # the frame projection (P, N_f) sends a gauge direction K(eps) to zero when
 # eps lies in range(Phi), the part of the gauge the Coulomb condition fixes;
 # N_f is applied by apply_N_f, the map the reduced integrator runs
@@ -51,13 +54,15 @@ print(f"|(P, N_f) K(eps)|  = {frame:.2e}   (the frame kills gauge directions)")
 print("\n=== gauge-fixing operator and its Green function ===")
 fp = faddeev_popov(lat)
 R = fp.range_projector()
-print(f"|Phi green - range projector|_max = {np.abs(fp.matrix @ fp.green - R).max():.2e}")
+phi_green = lat.divergence(lat.gradient(fp.green))   # Phi = div o grad, as stencils
+print(f"|Phi green - range projector|_max = {np.abs(phi_green - R).max():.2e}")
 print(f"kernel dimension at N=4: {fp.kernel.shape[1]} (constants + staggered modes)")
 lat5 = Lattice(2, 5)
 fp5 = faddeev_popov(lat5)
 V5 = lat5.n_sites
 tgt = np.eye(V5) - np.ones((V5, V5)) / V5
-print(f"odd N=5: |Phi green - (I - J/V)|_max = {np.abs(fp5.matrix @ fp5.green - tgt).max():.2e}")
+phi_green5 = lat5.divergence(lat5.gradient(fp5.green))
+print(f"odd N=5: |Phi green - (I - J/V)|_max = {np.abs(phi_green5 - tgt).max():.2e}")
 
 print("\nresidual freedom: constant eps never moves A but still rotates f;")
 print("on even N the staggered modes behave the same way.  Both are left")

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import per_lattice
+
 
 @dataclass
 class FieldPair:
@@ -62,45 +64,42 @@ class AdaptedCoords:
 
 @dataclass
 class FaddeevPopov:
-    """Gauge-fixing operator with its Green function.
+    """Green function of the gauge-fixing operator Phi = div o grad
+    (:meth:`~.lattice.Lattice.fp_matrix`).
 
-    ``matrix`` is the composition div o grad; ``green`` its Moore-Penrose
-    pseudo-inverse (symmetric, annihilates the kernel, in particular
-    green @ ones = 0).  ``kernel`` is the closed-form orthonormal basis
-    :meth:`~.lattice.Lattice.zero_mode_basis` of ker(matrix) and
-    ``range_basis`` an orthonormal basis of its complement range(matrix).
+    ``green`` is the Moore-Penrose pseudo-inverse of Phi (symmetric,
+    annihilates the kernel, in particular green @ ones = 0), a circulant
+    whose diagonal is one number, G0 = green[0, 0], on every site.
+    ``kernel`` is the closed-form orthonormal basis
+    :meth:`~.lattice.Lattice.zero_mode_basis` of ker(Phi).
     """
 
-    matrix: np.ndarray
     green: np.ndarray
     kernel: np.ndarray
-    range_basis: np.ndarray
 
     def range_projector(self):
-        """Projector onto range(matrix) = (kernel)^perp; the pseudo-identity
-        matrix @ green.  Equals I - J/V on odd-N lattices."""
-        return np.eye(self.matrix.shape[0]) - self.kernel @ self.kernel.T
+        """Projector onto range(Phi) = (kernel)^perp; the pseudo-identity
+        Phi @ green.  Equals I - J/V on odd-N lattices."""
+        return np.eye(self.kernel.shape[0]) - self.kernel @ self.kernel.T
 
 
+@per_lattice
 def faddeev_popov(lat):
-    """Build the gauge-fixing operator and Green function for a lattice.
+    """Build the Green function of Phi for a lattice, once per lattice.
 
     Lattice Fourier modes diagonalize Phi, with eigenvalues -sum_m sin^2(2 pi
     k_m / N) / h^2, zero exactly on the modes of ``zero_mode_basis`` (each 2 k_m
     a multiple of N); green convolves with the inverse transform of their
-    reciprocals, 0 on those modes.  No eigendecomposition, no inverse."""
-    key = "fp_green"
-    if key not in lat._cache:
-        N, K = lat.spec.sites_per_dim, lat.zero_mode_basis()
-        k = np.arange(N)
-        lam = -sum(np.ix_(*[np.sin(2 * np.pi * k / N) ** 2] * lat.dim)) / lat.spacing ** 2
-        zero = sum(np.ix_(*[(2 * k) % N] * lat.dim)) == 0
-        g = np.fft.ifftn(np.divide(1.0, lam, out=np.zeros(lam.shape), where=~zero)).real
-        sites = np.unravel_index(np.arange(lat.n_sites), lat.shape)
-        green = g[tuple((x[:, None] - x) % N for x in sites)]      # green(x, y) = g(x - y)
-        range_basis = np.linalg.qr(K, mode="complete")[0][:, K.shape[1]:]
-        lat._cache[key] = FaddeevPopov(lat.fp_matrix(), 0.5 * (green + green.T), K, range_basis)
-    return lat._cache[key]
+    reciprocals, 0 on those modes.  No dense Phi, no eigendecomposition, no
+    inverse."""
+    N = lat.spec.sites_per_dim
+    k = np.arange(N)
+    lam = -sum(np.ix_(*[np.sin(2 * np.pi * k / N) ** 2] * lat.dim)) / lat.spacing ** 2
+    zero = sum(np.ix_(*[(2 * k) % N] * lat.dim)) == 0
+    g = np.fft.ifftn(np.divide(1.0, lam, out=np.zeros(lam.shape), where=~zero)).real
+    sites = np.unravel_index(np.arange(lat.n_sites), lat.shape)
+    green = g[tuple((x[:, None] - x) % N for x in sites)]      # green(x, y) = g(x - y)
+    return FaddeevPopov(0.5 * (green + green.T), lat.zero_mode_basis())
 
 
 def rotate(f, theta):
@@ -164,38 +163,27 @@ def from_adapted(lat, c, g0):
     return FieldPair(c.A_star + lat.gradient(c.a), rotate(c.f_tilde, g0 * c.a), g0)
 
 
+@per_lattice
 def transverse_projector(lat):
-    """Dense (sV x sV) projector onto divergence-free vector fields.
+    """Dense (sV x sV) projector onto divergence-free vector fields, once per
+    lattice.
 
     P = I - grad o green o div.  Symmetric and idempotent; kills gradients
     exactly and div(P v) = 0 exactly, because grad, div and the Green
     function are built from the same central differences.  The gradient is
     applied as a stencil to the columns of :func:`green_divergence`.
     """
-    key = "transverse_projector"
-    if key not in lat._cache:
-        nA = lat.dim * lat.n_sites
-        P = np.eye(nA) - lat.gradient(green_divergence(lat)).reshape(nA, nA)
-        lat._cache[key] = 0.5 * (P + P.T)
-    return lat._cache[key]
+    nA = lat.dim * lat.n_sites
+    P = np.eye(nA) - lat.gradient(green_divergence(lat)).reshape(nA, nA)
+    return 0.5 * (P + P.T)
 
 
+@per_lattice
 def green_divergence(lat):
-    """Dense (V x sV) product green @ div, cached per lattice: green is
+    """Dense (V x sV) product green @ div, once per lattice: green is
     symmetric and div^T = -grad, so it is -(grad o green)^T, a stencil."""
-    key = "green_div"
-    if key not in lat._cache:
-        grad_green = lat.gradient(faddeev_popov(lat).green).reshape(-1, lat.n_sites)
-        lat._cache[key] = np.ascontiguousarray(-grad_green.T)
-    return lat._cache[key]
-
-
-def _green_diagonal(lat):
-    """diag(green) as its own contiguous (V,) array, cached per lattice."""
-    diag = lat._cache.get("green_diag")
-    if diag is None:
-        diag = lat._cache["green_diag"] = np.diagonal(faddeev_popov(lat).green).copy()
-    return diag
+    grad_green = lat.gradient(faddeev_popov(lat).green).reshape(-1, lat.n_sites)
+    return np.ascontiguousarray(-grad_green.T)
 
 
 def potential(lat, p, v0=None):

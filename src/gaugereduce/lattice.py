@@ -17,17 +17,35 @@ the 2s-point stencil: on lattices with even N its kernel contains, besides
 the constants, the 2**s - 1 staggered (checkerboard) modes, the usual
 doubling artifact of central differences (``zero_mode_basis``).
 
-Operator matrices are stored dense, each once per lattice; this is a
-desk-scale verification tool, and assembly refuses lattices with more than
-``MAX_DENSE_SITES`` sites.
+The gradient and divergence exist only as stencils.  Each dense operator
+(``fp_matrix``; green, P and green o div in :mod:`.gauge`) is built once per
+lattice, by :func:`per_lattice`; this is a desk-scale verification tool, and
+dense assembly refuses lattices with more than ``MAX_DENSE_SITES`` sites.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 # Dense operator matrices are only built below this site count.
 MAX_DENSE_SITES = 512
+
+
+def per_lattice(build):
+    """Cache the dense operator ``build(lat)`` on the lattice, keyed by
+    ``build``: built on first read (refused above ``MAX_DENSE_SITES``), the
+    same object on every later read.  Nothing else touches ``_cache``."""
+    @functools.wraps(build)
+    def read(lat):
+        op = lat._cache.get(build)
+        if op is None:
+            if lat.n_sites > MAX_DENSE_SITES:
+                raise ValueError(f"dense operator matrices refused for "
+                                 f"V={lat.n_sites} > {MAX_DENSE_SITES} sites")
+            op = lat._cache[build] = build(lat)
+        return op
+    return read
 
 
 @dataclass(frozen=True)
@@ -62,7 +80,7 @@ class Lattice:
     Notes
     -----
     All operations are pure functions of their inputs; the only mutable state
-    is an internal cache of operator matrices, filled on first use.
+    is the cache of dense operators that :func:`per_lattice` fills.
     """
 
     def __init__(self, spec, sites_per_dim=None, spacing=1.0):
@@ -120,7 +138,7 @@ class Lattice:
     # ------------------------------------------------------------------
     def gradient(self, u):
         """Central-difference gradient of a scalar field, shape (s, V); trailing
-        axes of u (V, ...) ride along, so gradient_matrix() @ X is a row gather."""
+        axes of u (V, ...) ride along, so gradient(X) is the dense gradient times X."""
         u = self.check_scalar(u, trailing=True)
         inv = 0.5 / self.spacing
         return np.stack([(u[p] - u[m]) * inv for p, m in zip(self._plus, self._minus)])
@@ -140,32 +158,9 @@ class Lattice:
         return out
 
     # ------------------------------------------------------------------
-    # dense operator matrices (flattened field layout: index = m*V + x)
+    # dense operators, each built once per lattice
     # ------------------------------------------------------------------
-    def _require_dense(self):
-        if self.n_sites > MAX_DENSE_SITES:
-            raise ValueError(
-                f"dense operator matrices refused for V={self.n_sites} > {MAX_DENSE_SITES} sites")
-
-    def gradient_matrix(self):
-        """Dense (sV x V) matrix form of :meth:`gradient`."""
-        if "grad" not in self._cache:
-            self._require_dense()
-            V = self.n_sites
-            G = np.zeros((self.dim * V, V))
-            rows = np.arange(self.dim * V)
-            G[rows, np.concatenate(self._plus)] += 1.0
-            G[rows, np.concatenate(self._minus)] -= 1.0
-            self._cache["grad"] = G / (2.0 * self.spacing)
-        return self._cache["grad"]
-
-    def divergence_matrix(self):
-        """Dense (V x sV) matrix form of :meth:`divergence`: the per-direction
-        blocks of :meth:`gradient_matrix` side by side (each is antisymmetric)."""
-        if "div" not in self._cache:
-            self._cache["div"] = np.hstack(np.split(self.gradient_matrix(), self.dim))
-        return self._cache["div"]
-
+    @per_lattice
     def fp_matrix(self):
         """Composition divergence o gradient (V x V), symmetric NSD.
 
@@ -173,10 +168,7 @@ class Lattice:
         gauge-fixing machinery.  Its kernel is the constants for odd N and
         additionally the staggered modes for even N.
         """
-        if "fp" not in self._cache:
-            self._require_dense()
-            self._cache["fp"] = self.divergence(self.gradient(np.eye(self.n_sites)))
-        return self._cache["fp"]
+        return self.divergence(self.gradient(np.eye(self.n_sites)))
 
     def zero_mode_basis(self):
         """Orthonormal basis of ker(fp_matrix): constants, plus staggered

@@ -37,7 +37,7 @@ Phi = div o grad (D = -Phi + diag(|u|^2), Phi green = I - KK^T, K^T Phi = 0),
 Dinv diag(|u|^2) = I + Dinv Phi turns the remaining Dinv products into
 diag green and q = diag(Dinv K K^T), and q cancels (README has the steps):
 
-    drift_f      = 1/2 g0^2 green(x, x) f~,
+    drift_f      = 1/2 g0^2 G0 f~,      G0 = green(x, x), one number per lattice,
     laplace_term = g0^2 sum_x (4 d - 6 |u|^2 d^2),
     J            = -(1/8) (mu^2 kappa / h^s) g0^2 sum_x d (4 - 5 |u|^2 d).
 
@@ -65,8 +65,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gauge import (_green_diagonal, faddeev_popov, green_divergence, jbar,
-                    killing_doublet_matrix, transverse_projector)
+from .gauge import (faddeev_popov, green_divergence, jbar, killing_doublet_matrix,
+                    transverse_projector)
 from .lattice import matvec
 
 
@@ -168,17 +168,23 @@ def orbit_metric(lat, f_tilde, g0):
     reports that state singular, while the reduced step, which reads no D,
     goes on."""
     f_tilde = _nonzero_doublet(lat, f_tilde)
-    V = lat.n_sites
-    # G^T G = -(div o grad) because the central differences are antisymmetric
-    D = np.broadcast_to(-lat.fp_matrix(), f_tilde.shape[:-2] + (V, V)).copy()
-    sites = np.arange(V)
-    D[..., sites, sites] += g0 ** 2 * (f_tilde[..., 0, :] ** 2 + f_tilde[..., 1, :] ** 2)
+    D = _metric_matrix(lat, f_tilde, g0)
     try:
         chol = np.linalg.cholesky(D)
     except np.linalg.LinAlgError:
         raise SingularOrbitMetric("orbit metric not positive definite") from None
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    return OrbitMetric(D, chol, logdet, V)
+    return OrbitMetric(D, chol, logdet, lat.n_sites)
+
+
+def _metric_matrix(lat, f_tilde, g0):
+    """D = -(div o grad) + diag(g0^2 |f~|^2), (..., V, V) for f~ (..., 2, V);
+    -(div o grad) = G^T G as the central differences are antisymmetric."""
+    V = lat.n_sites
+    D = np.broadcast_to(-lat.fp_matrix(), f_tilde.shape[:-2] + (V, V)).copy()
+    sites = np.arange(V)
+    D[..., sites, sites] += g0 ** 2 * (f_tilde[..., 0, :] ** 2 + f_tilde[..., 1, :] ** 2)
+    return D
 
 
 def horizontal_metric(lat, c, g0):
@@ -191,7 +197,6 @@ def horizontal_metric(lat, c, g0):
     fp = faddeev_popov(lat)
     P = transverse_projector(lat)
     Kf = killing_doublet_matrix(lat, f_tilde, g0)
-    D = -lat.fp_matrix() + np.diag(g0 ** 2 * (f_tilde[0] ** 2 + f_tilde[1] ** 2))
     # h_ab = I + N_f N_f^T with N_f = -K_f green div and (green div)(green div)^T
     # = -green: I - u u^T o green for u = g0 Jbar f~, exactly symmetric
     u = g0 * jbar(f_tilde).reshape(-1)
@@ -202,13 +207,13 @@ def horizontal_metric(lat, c, g0):
     return HorizontalMetric(
         g_AA=P,
         g_fg=Kf,
-        g_gg=D,
+        g_gg=_metric_matrix(lat, f_tilde, g0),
         h_AB=P,
         h_ab=h_ab,
         h_Ag=divP.T @ fp.green,
         h_ag=u[:, None] * np.tile(fp.green, (2, 1)),
         h_gg=-fp.green,
-        basis=fp.range_basis,
+        basis=np.linalg.qr(fp.kernel, mode="complete")[0][:, fp.kernel.shape[1]:],
     )
 
 
@@ -220,7 +225,7 @@ class OrbitGeometry:
     Construction factorizes the orbit metric (``metric``) and inverts it once
     (``Dinv``: one LU inverse of D per state, then symmetrized), so a
     degenerate orbit raises :class:`SingularOrbitMetric` here.  The gauge
-    maps apply matrix-free to tangent vectors; sigma' (``grad_f``) is built
+    maps apply the grad and div stencils and Dinv; sigma' (``grad_f``) is built
     at most once.  The Jacobian reads sigma'' only through diag Dinv, so no
     dense sigma'' is built.
     """
@@ -239,14 +244,16 @@ class OrbitGeometry:
     def connection(self, vA, vf):
         """Mechanical connection Dinv (g0 <Jbar f~, vf> - div vA) of a tangent
         pair, vA of shape (..., s, V) or (..., sV) and vf (..., 2, V); (..., V)."""
-        div_vA = matvec(self.lat.divergence_matrix(), np.reshape(vA, self.lead + (-1,)))
+        vA = np.reshape(vA, self.lead + (self.lat.dim, self.lat.n_sites))
+        div_vA = np.moveaxis(self.lat.divergence(np.moveaxis(vA, (-2, -1), (0, 1))), 0, -1)
         return matvec(self.Dinv, self.g0 * np.sum(self.jf * vf, axis=-2) - div_vA)
 
     def horizontal(self, vA, vf):
         """Orthogonal projection (vA - grad w, vf - g0 Jbar f~ w), w the connection
         of (vA, vf), onto the horizontal subspace, in the shapes given."""
         w = self.connection(vA, vf)
-        return (vA - matvec(self.lat.gradient_matrix(), w).reshape(np.shape(vA)),
+        grad_w = np.moveaxis(self.lat.gradient(np.moveaxis(w, -1, 0)), (0, 1), (-2, -1))
+        return (vA - grad_w.reshape(np.shape(vA)),
                 vf - self.g0 * self.jf * w[..., None, :])
 
     @cached_property
@@ -276,15 +283,16 @@ class OrbitGeometry:
 
 def scalar_drift(lat, f_tilde, g0):
     """Scalar-sector geometric drift -1/2 h Gamma + j1 + j2 of the reduced
-    dynamics, 1/2 g0^2 green(x, x) f~ (module docstring), before the
-    mu^2 kappa / h^s prefactor; f_tilde (..., 2, V), the result likewise.
+    dynamics, 1/2 g0^2 G0 f~ with G0 = green[0, 0], bitwise green(x, x) at
+    every site (green is a circulant), before the mu^2 kappa / h^s prefactor;
+    f_tilde (..., 2, V), the result likewise.
     Raises :class:`SingularOrbitMetric` for a state with f~ identically
     zero, where the reduction is undefined; states are tested one by one
     only when some entry of the stack is zero."""
     f_tilde = np.asarray(f_tilde, dtype=float)
     if f_tilde.shape[-2:] != (2, lat.n_sites) or not f_tilde.all():
         f_tilde = _nonzero_doublet(lat, f_tilde)
-    return (0.5 * g0 ** 2 * _green_diagonal(lat)) * f_tilde
+    return (0.5 * g0 ** 2 * faddeev_popov(lat).green[0, 0]) * f_tilde
 
 
 def apply_N_f(lat, f_tilde, g0, vA):

@@ -4,7 +4,9 @@ The package computes the reduced step's noise map, the reduction Jacobian
 and the Feynman-Kac estimates in the forms its commands run
 (:func:`gaugereduce.orbit.apply_N_f`, :meth:`OrbitGeometry.jacobian`, the
 grid oracle).  The forms here are the independent targets they are checked
-against: the frame map N_f as a dense matrix, sigma'' as a dense Hessian,
+against: the gradient and divergence as dense matrices, built from the
+neighbour table rather than the stencils, the frame map N_f as a dense
+matrix, sigma'' as a dense Hessian,
 the grid oracle's generator as a scipy sparse matrix with scipy's
 ``expm_multiply``, the Gaussian closed forms of the two classic oracle
 benchmarks, and the writer of the field files ``gauge-reduce jacobian
@@ -20,6 +22,23 @@ import numpy as np
 
 from gaugereduce.gauge import green_divergence, jbar
 from gaugereduce.kolmogorov import value_at
+
+
+def gradient_matrix(lat):
+    """Dense (sV x V) matrix of the central-difference gradient, row m*V + x
+    holding +-1/(2h) at the neighbours x +- e_m (flattened field layout)."""
+    V, tab = lat.n_sites, lat.neighbor_table
+    G = np.zeros((lat.dim * V, V))
+    rows = np.arange(lat.dim * V)
+    G[rows, tab[:, :, 0].T.reshape(-1)] += 1.0
+    G[rows, tab[:, :, 1].T.reshape(-1)] -= 1.0
+    return G / (2.0 * lat.spacing)
+
+
+def divergence_matrix(lat):
+    """Dense (V x sV) matrix of the divergence: the per-direction blocks of
+    :func:`gradient_matrix` side by side (each is antisymmetric)."""
+    return np.hstack(np.split(gradient_matrix(lat), lat.dim))
 
 
 def dense_N_f(lat, f_tilde, g0):

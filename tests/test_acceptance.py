@@ -83,7 +83,7 @@ def test_criterion_03_fp_inverse():
     fp = faddeev_popov(lat)
     V = lat.n_sites
     target = np.eye(V) - np.ones((V, V)) / V
-    r = float(np.abs(fp.matrix @ fp.green - target).max())
+    r = float(np.abs(lat.fp_matrix() @ fp.green - target).max())
     _report(3, "Faddeev-Popov inverse", r <= 1e-10,
             f"|Phi Phi^-1 - (I - J/V)|_max {r:.1e} <= 1e-10 at s=2 N=5",
             time.time() - t0, 1.0)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gaugereduce.gauge import (FieldPair, faddeev_popov, from_adapted,
-                               gauge_transform, killing_vector, potential,
-                               rotate, solve_gauge_parameter, to_adapted,
+from gaugereduce.gauge import (AdaptedCoords, FieldPair, faddeev_popov, from_adapted,
+                               gauge_transform, green_divergence, killing_vector,
+                               potential, rotate, solve_gauge_parameter, to_adapted,
                                transverse_projector)
 from gaugereduce.lattice import Lattice, flat
-from gaugereduce.orbit import apply_N_f
+from gaugereduce.orbit import apply_N_f, horizontal_metric
+from references import divergence_matrix, gradient_matrix
 
 
 # (1, 2) has Phi = 0 and so green = 0; odd and even N otherwise
@@ -156,11 +157,11 @@ def test_transverse_projector_identities():
     lat = Lattice(2, 4)
     rng = np.random.default_rng(11)
     P = transverse_projector(lat)
-    G = lat.gradient_matrix()
+    G = gradient_matrix(lat)
     assert np.abs(P - P.T).max() <= 1e-14
     assert np.abs(P @ P - P).max() <= 1e-10
     assert np.abs(P @ G).max() <= 1e-10
-    assert np.abs(lat.divergence_matrix() @ P).max() <= 1e-10
+    assert np.abs(divergence_matrix(lat) @ P).max() <= 1e-10
     A = flat(lat.random_vector(rng))
     assert np.abs(lat.divergence((P @ A).reshape(lat.dim, -1))).max() <= 1e-10
 
@@ -196,26 +197,26 @@ def test_faddeev_popov_inverse_odd_n():
     fp = faddeev_popov(lat)
     V = lat.n_sites
     target = np.eye(V) - np.ones((V, V)) / V
-    assert np.abs(fp.matrix @ fp.green - target).max() <= 1e-10
+    assert np.abs(lat.fp_matrix() @ fp.green - target).max() <= 1e-10
     assert np.abs(fp.green - fp.green.T).max() <= 1e-14
     assert np.abs(fp.green @ np.ones(V)).max() <= 1e-12
     # two-sided inverse on mean-zero functions
     rng = np.random.default_rng(14)
     u = lat.random_scalar(rng)
     u -= u.mean()
-    assert np.abs(fp.green @ (fp.matrix @ u) - u).max() <= 1e-10
-    assert np.abs(fp.matrix @ (fp.green @ u) - u).max() <= 1e-10
+    assert np.abs(fp.green @ (lat.fp_matrix() @ u) - u).max() <= 1e-10
+    assert np.abs(lat.fp_matrix() @ (fp.green @ u) - u).max() <= 1e-10
     # the closed-form Green function is the eigh-built pseudo-inverse, and
     # Phi green is the pseudo-identity I - KK^T, odd and even N alike
     for s, n in GREEN_LATTICES:
         lat = Lattice(s, n)
         fp = faddeev_popov(lat)
-        w, U = np.linalg.eigh(fp.matrix)
+        w, U = np.linalg.eigh(lat.fp_matrix())
         keep = np.abs(w) > 1e-10 * max(np.abs(w).max(), 1.0)
         pinv = (U[:, keep] / w[keep]) @ U[:, keep].T
         assert np.abs(fp.green - pinv).max() <= 1e-12 * np.abs(pinv).max()
         target = np.eye(lat.n_sites) - fp.kernel @ fp.kernel.T
-        assert np.abs(fp.matrix @ fp.green - target).max() <= 1e-12
+        assert np.abs(lat.fp_matrix() @ fp.green - target).max() <= 1e-12
 
 
 def test_faddeev_popov_even_n_kernel():
@@ -226,17 +227,39 @@ def test_faddeev_popov_even_n_kernel():
     B = lat.zero_mode_basis()
     assert fp.kernel.shape[1] == B.shape[1] == 4
     target = np.eye(lat.n_sites) - B @ B.T
-    assert np.abs(fp.matrix @ fp.green - target).max() <= 1e-10
-    # the kernel spans zero_mode_basis; range_basis completes it orthonormally
+    assert np.abs(lat.fp_matrix() @ fp.green - target).max() <= 1e-10
+    # the kernel spans zero_mode_basis; horizontal_metric's reduced basis
+    # completes it orthonormally
+    rng = np.random.default_rng(15)
     for s, n in GREEN_LATTICES:
         lat = Lattice(s, n)
         fp, B = faddeev_popov(lat), lat.zero_mode_basis()
         V, k = lat.n_sites, B.shape[1]
-        assert fp.kernel.shape == (V, k) and fp.range_basis.shape == (V, V - k)
+        c = AdaptedCoords(np.zeros((s, V)), lat.random_doublet(rng), np.zeros(V))
+        R = horizontal_metric(lat, c, 0.8).basis
+        assert fp.kernel.shape == (V, k) and R.shape == (V, V - k)
         assert np.abs(fp.kernel @ fp.kernel.T - B @ B.T).max() <= 1e-14
-        R = fp.range_basis
         assert np.abs(R.T @ R - np.eye(V - k)).max(initial=0.0) <= 1e-14
         assert np.abs(R.T @ B).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("h", [0.01, 1.0, 100.0])
+def test_green_diagonal_is_one_number(h):
+    # green(x, y) = g(x - y) is a circulant, so its diagonal is bitwise the
+    # one number G0 = green[0, 0]; the reduced drift reads G0 alone
+    for s, n in GREEN_LATTICES + [(1, 512), (3, 8)]:
+        green = faddeev_popov(Lattice(s, n, h)).green
+        assert np.array_equal(np.diagonal(green), np.full(green.shape[0], green[0, 0]))
+
+
+def test_lattice_operators_built_once_per_lattice():
+    # each cached operator is built on first read; a second read returns the
+    # same object, and another lattice of the same shape builds its own
+    lat, other = Lattice(2, 4), Lattice(2, 4)
+    for build in (Lattice.fp_matrix, faddeev_popov, transverse_projector, green_divergence):
+        first = build(lat)
+        assert build(lat) is first
+        assert build(other) is not first
 
 
 def test_potential_zero_configuration():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gaugereduce.gauge import faddeev_popov, green_divergence, transverse_projector
 from gaugereduce.lattice import MAX_DENSE_SITES, Lattice, LatticeSpec
+from references import divergence_matrix, gradient_matrix
 
 
 def test_spec_validation():
@@ -74,7 +76,7 @@ def test_div_grad_matches_matrix_composition():
         for n in (2, 3, 4, 5):
             for h in (1.0, 0.7):
                 lat = Lattice(s, n, h)
-                V, G, div = lat.n_sites, lat.gradient_matrix(), lat.divergence_matrix()
+                V, G, div = lat.n_sites, gradient_matrix(lat), divergence_matrix(lat)
                 X, Y = rng.standard_normal((V, 3)), rng.standard_normal((s * V, 3))
                 Z, W = rng.standard_normal((3, V)), rng.standard_normal((3, s * V))
                 for dense, stencil in [
@@ -136,8 +138,9 @@ def test_translation_invariance(s, n, axis_seed, data):
 def test_dense_size_guard():
     lat = Lattice(3, 9)  # 729 sites
     assert lat.n_sites > MAX_DENSE_SITES
-    with pytest.raises(ValueError, match="refused"):
-        lat.gradient_matrix()
+    for build in (Lattice.fp_matrix, faddeev_popov, transverse_projector, green_divergence):
+        with pytest.raises(ValueError, match="refused"):
+            build(lat)
     # stencil operations still work
     u = np.ones(lat.n_sites)
     assert_allclose(lat.gradient(u), 0.0, atol=0)

@@ -20,7 +20,7 @@ from gaugereduce.lattice import Lattice, LatticeSpec, flat
 from gaugereduce.orbit import (HorizontalMetric, OrbitGeometry, SingularOrbitMetric,
                                apply_N_f, horizontal_metric, orbit_metric, reduced_drift,
                                scalar_drift)
-from references import dense_N_f, hess_ff
+from references import dense_N_f, gradient_matrix, hess_ff
 
 
 def adapted(lat, f):
@@ -48,7 +48,7 @@ def test_orbit_metric_uniform_spectrum():
     g0, c = 0.7, 1.9
     f = np.stack([np.full(16, np.sqrt(c * 0.4)), np.full(16, -np.sqrt(c * 0.6))])
     om = orbit_metric(lat, f, g0)
-    G = lat.gradient_matrix()
+    G = gradient_matrix(lat)
     base = np.linalg.eigvalsh(G.T @ G)
     assert_allclose(np.linalg.eigvalsh(om.D), base + g0 ** 2 * c, atol=1e-10)
 
@@ -113,6 +113,20 @@ def test_stacked_geometry_matches_single_states(s, n):
         for name in ("J", "laplace_term", "grad_term", "logdet"):
             want = getattr(rep1, name)
             assert abs(getattr(rep, name)[k] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("s,n,h", [(1, 3, 1.0), (2, 4, 0.01), (3, 5, 100.0), (1, 512, 1.0)])
+def test_scalar_drift_is_the_diagonal_of_green_times_f(s, n, h):
+    # the drift reads G0 = green[0, 0]; on stacks it is bitwise the sitewise
+    # product with the whole diagonal of green
+    lat = Lattice(s, n, h)
+    rng = np.random.default_rng(60 + s + n)
+    green = faddeev_popov(lat).green
+    for g0 in (0.8, 3.0, 1e-7):
+        for shape in [(2, lat.n_sites), (5, 2, lat.n_sites), (2, 3, 2, lat.n_sites)]:
+            f = rng.standard_normal(shape)
+            want = (0.5 * g0 ** 2 * np.diagonal(green)) * f
+            assert np.array_equal(scalar_drift(lat, f, g0), want)
 
 
 def test_orbit_metric_stack_refuses_a_degenerate_state():
@@ -217,7 +231,7 @@ def test_connection_matches_dense_blocks(s, n):
     unit = np.eye(sV + 2 * V)
     for k in range(3):
         geo = OrbitGeometry(lat, fs[k], g0)
-        dense = geo.Dinv @ np.hstack([lat.gradient_matrix().T,
+        dense = geo.Dinv @ np.hstack([gradient_matrix(lat).T,
                                       killing_doublet_matrix(lat, fs[k], g0).T])
         cols = np.stack([geo.connection(e[:sV], e[sV:].reshape(2, V)) for e in unit], axis=1)
         assert np.abs(cols - dense).max() <= 1e-14 * np.abs(dense).max()
@@ -388,7 +402,7 @@ def _fd_christoffel_contraction(lat, f, g0, d=1e-5):
     block pseudo-inverse."""
     sV = lat.dim * lat.n_sites
     n2V = 2 * lat.n_sites
-    G = lat.gradient_matrix()
+    G = gradient_matrix(lat)
     Kf0 = killing_doublet_matrix(lat, f, g0)
 
     def blocks(ff):

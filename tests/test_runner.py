@@ -243,6 +243,21 @@ def test_cmd_check_sigma_gradient_row_propagates_nan(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_cmd_check_writes_its_csv_where_the_orbit_metric_is_singular(tmp_path):
+    # at g0 = 1e-9 Cholesky refuses the sample's D on (1, 3): the three rows
+    # that need it read nan and fail, the other rows still run and pass, and
+    # the command exits 1 with its CSV written
+    path, cfg = make_config(tmp_path, **{
+        "lattice.dim": 1, "lattice.sites_per_dim": 3, "fields.g0": 1e-9})
+    assert main(["check", str(path)]) == 1
+    rows = read_rows(tmp_path / "out" / "check.csv")[1:]
+    assert [r[0] for r in rows] == [name for name, _, _ in runner.INVARIANTS]
+    failing = {r[0]: r[1] for r in rows if r[3] == "fail"}
+    assert failing == {"sigma_gradient_fd": "nan", "connection_reproduction": "nan",
+                       "connection_horizontality": "nan"}
+    assert sum(r[3] == "pass" for r in rows) == len(rows) - 3
+
+
 @pytest.mark.parametrize("s,n", [(1, 2), (1, 3), (2, 4), (3, 4)])
 @pytest.mark.parametrize("name,tol,residual", runner.INVARIANTS,
                          ids=[name for name, _, _ in runner.INVARIANTS])
@@ -476,6 +491,28 @@ def test_cmd_simulate_reduced_runs_where_cholesky_refuses_the_orbit_metric(tmp_p
     assert row[header.index("status")] == "ok"
     mean, se = float(row[header.index("mean")]), float(row[header.index("std_error")])
     assert abs(mean - (3.0 + 6.0 * cfg.sde().horizon)) <= 4.0 * se
+
+
+def test_cmd_simulate_reduced_builds_only_what_it_reads(tmp_path, monkeypatch):
+    # the reduced step reads P, green's diagonal and green div: with the dense
+    # Phi and QR made to raise, the command still exits 0 with the same bytes
+    _, cfg = make_config(tmp_path, **{
+        "lattice.dim": 2, "lattice.sites_per_dim": 4, "sde.n_paths": 20,
+        "sde.n_steps": 10, "sde.dt": 0.01, "sde.process": "reduced",
+        "simulate.phi0": "sum_squares",
+    })
+    out = tmp_path / "out" / "simulate.csv"
+    assert cmd_simulate(cfg) == 0
+    want = out.read_bytes()
+    out.unlink()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built an operator no reduced step reads")
+
+    monkeypatch.setattr(Lattice, "fp_matrix", refused)
+    monkeypatch.setattr(np.linalg, "qr", refused)
+    assert cmd_simulate(cfg) == 0
+    assert out.read_bytes() == want
 
 
 def test_cmd_simulate_reduced_byte_identical_across_threads_and_chunks(tmp_path,
